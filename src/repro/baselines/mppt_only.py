@@ -42,7 +42,7 @@ class MpptOnlyBaseline:
         available = regulator.max_output_power(
             self.setpoint_v, mpp.power_w, v_in=mpp.voltage_v
         )
-        frequency = processor.frequency_for_power(self.setpoint_v, available)
+        frequency = float(processor.frequency_for_power(self.setpoint_v, available))
         if frequency <= 0.0:
             raise InfeasibleOperatingPointError(
                 f"MPPT-only design stalls at irradiance {irradiance}: "

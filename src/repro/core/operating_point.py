@@ -105,30 +105,28 @@ class OperatingPointOptimizer:
             )
         high = min(voc, processor.max_operating_v)
         grid = self._voltage_grid(processor.min_operating_v, high)
-        best: "OperatingPoint | None" = None
-        for v in grid:
-            p_pv = float(cell.power(v, irradiance))
-            if p_pv <= 0.0:
-                continue
-            f = processor.frequency_for_power(float(v), p_pv)
-            if f <= 0.0:
-                continue
-            p_proc = float(processor.power(float(v), f))
-            if best is None or f > best.frequency_hz:
-                best = OperatingPoint(
-                    processor_voltage_v=float(v),
-                    frequency_hz=f,
-                    delivered_power_w=p_proc,
-                    extracted_power_w=p_proc,
-                    node_voltage_v=float(v),
-                    regulator_name="bypass",
-                    bypassed=True,
-                )
-        if best is None:
+        p_pv = np.asarray(cell.power(grid, irradiance), dtype=float)
+        powered = p_pv > 0.0
+        voltages = grid[powered]
+        freqs = np.asarray(processor.frequency_for_power(voltages, p_pv[powered]))
+        if not np.any(freqs > 0.0):
             raise InfeasibleOperatingPointError(
                 f"cell cannot sustain the processor at irradiance {irradiance}"
             )
-        return best
+        # argmax takes the first maximum: the sweep's strict ``>`` tie-break.
+        best = int(np.argmax(freqs))
+        v = float(voltages[best])
+        f = float(freqs[best])
+        p_proc = float(processor.power(v, f))
+        return OperatingPoint(
+            processor_voltage_v=v,
+            frequency_hz=f,
+            delivered_power_w=p_proc,
+            extracted_power_w=p_proc,
+            node_voltage_v=v,
+            regulator_name="bypass",
+            bypassed=True,
+        )
 
     # -- regulated point ----------------------------------------------------------
 
@@ -155,42 +153,51 @@ class OperatingPointOptimizer:
                 f"{regulator_name}: no overlap between converter and "
                 "processor voltage ranges"
             )
-        best: "OperatingPoint | None" = None
-        for v in self._voltage_grid(low, high):
+        grid = self._voltage_grid(low, high).tolist()
+        # The regulator stays behind its scalar interface: one closed-form
+        # inverse per grid voltage.
+        feasible: "list[float]" = []
+        available: "list[float]" = []
+        for v in grid:
             try:
-                available = regulator.max_output_power(
-                    float(v), mpp.power_w, v_in=mpp.voltage_v
+                p_out = regulator.max_output_power(
+                    v, mpp.power_w, v_in=mpp.voltage_v
                 )
             except OperatingRangeError:
                 continue
-            if available <= 0.0:
-                continue
-            f = processor.frequency_for_power(float(v), available)
-            if f <= 0.0:
-                continue
-            p_proc = float(processor.power(float(v), f))
+            if p_out > 0.0:
+                feasible.append(v)
+                available.append(p_out)
+        voltages = np.array(feasible)
+        freqs = np.asarray(
+            processor.frequency_for_power(voltages, np.array(available))
+        )
+        clocked = freqs > 0.0
+        voltages, freqs = voltages[clocked], freqs[clocked]
+        p_proc = np.asarray(processor.power(voltages, freqs))
+        # Fastest first; the stable sort keeps grid order among equal
+        # clocks, so the first point the converter can serve is the one
+        # the sweep's strict ``>`` would have kept.
+        for i in np.argsort(-freqs, kind="stable").tolist():
             try:
                 extracted = regulator.input_power(
-                    float(v), p_proc, v_in=mpp.voltage_v
+                    float(voltages[i]), float(p_proc[i]), v_in=mpp.voltage_v
                 )
             except OperatingRangeError:
                 continue
-            if best is None or f > best.frequency_hz:
-                best = OperatingPoint(
-                    processor_voltage_v=float(v),
-                    frequency_hz=f,
-                    delivered_power_w=p_proc,
-                    extracted_power_w=extracted,
-                    node_voltage_v=mpp.voltage_v,
-                    regulator_name=regulator_name,
-                    bypassed=False,
-                )
-        if best is None:
-            raise InfeasibleOperatingPointError(
-                f"{regulator_name}: no feasible operating point at "
-                f"irradiance {irradiance}"
+            return OperatingPoint(
+                processor_voltage_v=float(voltages[i]),
+                frequency_hz=float(freqs[i]),
+                delivered_power_w=float(p_proc[i]),
+                extracted_power_w=extracted,
+                node_voltage_v=mpp.voltage_v,
+                regulator_name=regulator_name,
+                bypassed=False,
             )
-        return best
+        raise InfeasibleOperatingPointError(
+            f"{regulator_name}: no feasible operating point at "
+            f"irradiance {irradiance}"
+        )
 
     # -- the holistic choice --------------------------------------------------------
 

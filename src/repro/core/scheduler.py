@@ -134,7 +134,7 @@ class HolisticEnergyManager:
             mpp = self.system.mpp(irradiance)
             v = CONVENTIONAL_SETPOINT_V
             available = regulator.max_output_power(v, mpp.power_w, v_in=mpp.voltage_v)
-            f = processor.frequency_for_power(v, available)
+            f = float(processor.frequency_for_power(v, available))
             p_proc = float(processor.power(v, f)) if f > 0.0 else 0.0
             extracted = (
                 regulator.input_power(v, p_proc, v_in=mpp.voltage_v)

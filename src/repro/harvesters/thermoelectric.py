@@ -62,9 +62,9 @@ class ThermoelectricGenerator:
 
     def open_circuit_voltage(self, irradiance: float = 1.0) -> float:
         """Seebeck voltage at the scaled gradient [V]."""
-        if irradiance < 0.0:
+        if not (0.0 <= irradiance < np.inf):
             raise ModelParameterError(
-                f"intensity must be >= 0, got {irradiance}"
+                f"intensity must be finite and >= 0, got {irradiance}"
             )
         return (
             self.seebeck_v_per_k * self.reference_gradient_k * irradiance

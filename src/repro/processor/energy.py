@@ -170,24 +170,44 @@ class ProcessorModel:
 
     # -- inverse problems -------------------------------------------------------
 
-    def frequency_for_power(self, voltage_v: float, power_budget_w: float) -> float:
+    def frequency_for_power(
+        self,
+        voltage_v: "float | np.ndarray",
+        power_budget_w: "float | np.ndarray",
+    ) -> "float | np.ndarray":
         """Fastest clock sustainable inside ``power_budget_w`` at ``voltage_v``.
 
         Solves ``Pdyn(V, f) + Pleak(V) = budget`` for ``f``, clamped to
         the maximum frequency.  Returns 0 when leakage alone exceeds the
         budget (the processor cannot even idle at this voltage).
+        Elementwise over arrays, with voltages and budgets broadcast
+        together; the return type matches the input, as in
+        :meth:`max_frequency`.
         """
-        self.check_voltage(voltage_v)
-        if power_budget_w < 0.0:
+        v, budget = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(voltage_v, dtype=float)),
+            np.atleast_1d(np.asarray(power_budget_w, dtype=float)),
+        )
+        outside = ~((v >= self.min_operating_v) & (v <= self.max_operating_v))
+        if np.any(outside):
+            self.check_voltage(float(v[outside][0]))
+        if np.any(budget < 0.0):
             raise OperatingRangeError(
-                f"power budget must be >= 0, got {power_budget_w}"
+                f"power budget must be >= 0, got {float(budget[budget < 0.0][0])}"
             )
-        leak = float(self.leakage.power(voltage_v))
-        headroom = power_budget_w - leak
-        if headroom <= 0.0:
-            return 0.0
-        f_budget = headroom / float(self.dynamic.energy_per_cycle(voltage_v))
-        return min(f_budget, float(self.max_frequency(voltage_v)))
+        headroom = budget - self.leakage.power(v)
+        freq = np.zeros(v.shape)
+        # Voltages where leakage alone exhausts the budget stay at 0 Hz.
+        live = ~(headroom <= 0.0)
+        if np.any(live):
+            v_live = v[live]
+            f_budget = headroom[live] / self.dynamic.energy_per_cycle(v_live)
+            f_max = self.max_frequency(v_live)
+            # Python's ``min(f_budget, f_max)``: f_budget unless f_max < it.
+            freq[live] = np.where(f_max < f_budget, f_max, f_budget)
+        if np.ndim(voltage_v) == 0 and np.ndim(power_budget_w) == 0:
+            return float(freq[0])
+        return freq
 
     def voltage_for_frequency(self, frequency_hz: float) -> float:
         """Lowest supply in the functional window reaching ``frequency_hz``."""

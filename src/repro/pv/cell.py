@@ -14,7 +14,9 @@ voltage therefore shifts logarithmically with light level -- exactly the
 behaviour visible in the paper's measured curves.
 
 The implicit equation (series resistance couples I and V) is solved with
-a damped Newton iteration that is vectorised over voltage arrays.
+a Newton iteration: :meth:`SingleDiodeCell.current_scalar` for one
+voltage, and :func:`solve_current` for arrays, where each element stops
+exactly when its own scalar solve would.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from repro.units import micro_amps, milli_amps, thermal_voltage
 
 _NEWTON_MAX_ITERATIONS = 100
 _NEWTON_TOLERANCE_A = 1e-12
+#: ``np.inf`` as a module constant: the scalar solver checks it per call.
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,10 @@ class SingleDiodeCell:
 
     def photo_current(self, irradiance: float) -> float:
         """Photogenerated current at the given irradiance [A]."""
-        if irradiance < 0.0:
-            raise ModelParameterError(f"irradiance must be >= 0, got {irradiance}")
+        if not (0.0 <= irradiance < _INF):
+            raise ModelParameterError(
+                f"irradiance must be finite and >= 0, got {irradiance}"
+            )
         return self.photo_current_full_sun_a * irradiance
 
     def at_temperature(self, temperature_k: float) -> "SingleDiodeCell":
@@ -157,52 +163,24 @@ class SingleDiodeCell:
         """Terminal current at the given terminal voltage(s) [A].
 
         Accepts a scalar or a numpy array of voltages; the return type
-        matches the input.  Negative currents (the load pushing the cell
-        past its open-circuit voltage) are reported faithfully rather
-        than clipped, because the transient simulator relies on the
-        restoring sign to find the stable operating point.
+        matches the input.  A scalar goes to :meth:`current_scalar`; an
+        array goes to :func:`solve_current`, whose elements each equal
+        their scalar solve bit for bit.  Negative currents (the load
+        pushing the cell past its open-circuit voltage) are reported
+        faithfully rather than clipped, because the transient simulator
+        relies on the restoring sign to find the stable operating point.
         """
-        voltage_arr = np.atleast_1d(np.asarray(voltage, dtype=float))
-        iph = self.photo_current(irradiance)
-        scale = self.diode_scale_v
-
-        # Newton iteration on f(I) = Iph - I0*(exp((V+I*Rs)/scale)-1)
-        #                            - (V+I*Rs)/Rsh - I = 0
-        current_arr = np.clip(
-            iph - self._ideal_diode_current(voltage_arr, iph), -iph - 1e-3, iph
+        if np.isscalar(voltage) or getattr(voltage, "ndim", 1) == 0:
+            return self.current_scalar(float(voltage), irradiance)
+        return solve_current(
+            voltage,
+            irradiance,
+            self.photo_current_full_sun_a,
+            self.saturation_current_a,
+            self.diode_scale_v,
+            self.series_resistance_ohm,
+            self.shunt_resistance_ohm,
         )
-        if self.series_resistance_ohm == 0.0:
-            result = (
-                iph
-                - self._ideal_diode_current(voltage_arr, iph)
-                - voltage_arr / self.shunt_resistance_ohm
-            )
-            return self._match_shape(result, voltage)
-
-        rs = self.series_resistance_ohm
-        rsh = self.shunt_resistance_ohm
-        converged = False
-        for _ in range(_NEWTON_MAX_ITERATIONS):
-            diode_v = voltage_arr + current_arr * rs
-            exp_term = np.exp(np.clip(diode_v / scale, -60.0, 60.0))
-            f = (
-                iph
-                - self.saturation_current_a * (exp_term - 1.0)
-                - diode_v / rsh
-                - current_arr
-            )
-            df = -self.saturation_current_a * exp_term * rs / scale - rs / rsh - 1.0
-            step = f / df
-            current_arr = current_arr - step
-            if np.max(np.abs(step)) < _NEWTON_TOLERANCE_A:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                "single-diode Newton iteration failed to converge; "
-                f"max residual step {np.max(np.abs(step)):.3e} A"
-            )
-        return self._match_shape(current_arr, voltage)
 
     def current_scalar(
         self,
@@ -212,13 +190,13 @@ class SingleDiodeCell:
     ) -> float:
         """Terminal current at one scalar voltage, without array machinery [A].
 
-        This is the transient simulator's hot path: the same damped
-        Newton iteration as :meth:`current`, expressed in plain floats.
-        Every operation mirrors the array path exactly -- same seed,
+        This is the transient simulator's hot path, and what
+        :meth:`current` runs for a scalar voltage.  Every operation is
+        mirrored by the array path :func:`solve_current` -- same seed,
         same clip bounds, same expression order, and scalar ``np.exp``
         (which is bit-identical to the vectorised ``np.exp`` element,
-        unlike ``math.exp``) -- so the cold-started result equals
-        ``float(self.current(voltage, irradiance))`` bit for bit.
+        unlike ``math.exp``) -- so the cold-started result equals the
+        matching element of an array solve bit for bit.
 
         ``guess`` optionally warm-starts the iteration (e.g. from the
         previous time step's converged current).  A warm start converges
@@ -333,21 +311,75 @@ class SingleDiodeCell:
         """Short-circuit current ``Isc`` at the given irradiance [A]."""
         return float(self.current(0.0, irradiance))
 
-    # -- internals ----------------------------------------------------------
 
-    def _ideal_diode_current(self, voltage_arr: np.ndarray, iph: float) -> np.ndarray:
-        """Diode current ignoring series resistance (Newton seed)."""
-        del iph  # seed does not depend on it; kept for signature clarity
-        exponent = np.clip(voltage_arr / self.diode_scale_v, -60.0, 60.0)
-        return self.saturation_current_a * (np.exp(exponent) - 1.0)
+def solve_current(
+    voltage: "float | np.ndarray",
+    irradiance: "float | np.ndarray",
+    photo_current_full_sun_a: "float | np.ndarray",
+    saturation_current_a: "float | np.ndarray",
+    diode_scale_v: "float | np.ndarray",
+    series_resistance_ohm: "float | np.ndarray",
+    shunt_resistance_ohm: "float | np.ndarray",
+) -> np.ndarray:
+    """Single-diode terminal current per element, each equal to its
+    scalar solve bit for bit [A].
 
-    @staticmethod
-    def _match_shape(
-        result: np.ndarray, template: "float | np.ndarray"
-    ) -> "float | np.ndarray":
-        if np.isscalar(template) or getattr(template, "ndim", 1) == 0:
-            return float(result[0])
-        return result
+    Arguments broadcast together, so one cell solves a voltage array
+    and heterogeneous cells (per-element parameters) solve together.
+    Every arithmetic step mirrors :meth:`SingleDiodeCell.current_scalar`
+    (cold start): same seed, same clip bounds, same expression order.
+    Elementwise numpy arithmetic (``np.exp`` included) is bit-identical
+    to the same operations on scalars, and an element **freezes the
+    moment its own applied Newton step drops below tolerance** --
+    exactly when the scalar loop returns -- so element ``k`` equals
+    ``current_scalar(voltage[k], irradiance[k])`` of its cell.
+
+    (Iterating until the *largest* step converges instead would keep
+    stepping early-converged elements; the floating-point Newton map
+    has several attracting fixed points within ~1e-16 A of each other,
+    so those extra steps move last bits.)
+    """
+    irr = np.asarray(irradiance, dtype=float)
+    bad = ~((irr >= 0.0) & (irr < np.inf))  # NaN fails too
+    if np.any(bad):
+        raise ModelParameterError(
+            f"irradiance must be finite and >= 0, got {irr[bad].flat[0]}"
+        )
+    v = np.asarray(voltage, dtype=float)
+    iph = photo_current_full_sun_a * irr
+    scale = diode_scale_v
+    i0 = saturation_current_a
+    rs = series_resistance_ohm
+    rsh = shunt_resistance_ohm
+
+    exponent = np.minimum(np.maximum(v / scale, -60.0), 60.0)
+    ideal = i0 * (np.exp(exponent) - 1.0)
+    current = np.minimum(np.maximum(iph - ideal, -iph - 1e-3), iph)
+    # Zero series resistance has no implicit coupling: closed form below.
+    active = np.ones(current.shape, dtype=bool) & (rs != 0.0)
+    for _ in range(_NEWTON_MAX_ITERATIONS):
+        if not active.any():
+            break
+        diode_v = v + current * rs
+        exponent = np.minimum(np.maximum(diode_v / scale, -60.0), 60.0)
+        exp_term = np.exp(exponent)
+        f = iph - i0 * (exp_term - 1.0) - diode_v / rsh - current
+        df = -i0 * exp_term * rs / scale - rs / rsh - 1.0
+        step = f / df
+        # Frozen elements keep their value; the rest take the step and
+        # freeze once it is below tolerance (a NaN step never is).
+        np.subtract(current, step, out=current, where=active)
+        active &= ~(np.abs(step) < _NEWTON_TOLERANCE_A)
+    else:
+        if active.any():
+            raise ConvergenceError(
+                "single-diode Newton iteration failed to converge; "
+                f"max residual step {float(np.max(np.abs(step[active]))):.3e} A"
+            )
+    zero_rs = rs == 0.0
+    if np.any(zero_rs):
+        current = np.where(zero_rs, iph - ideal - v / rsh, current)
+    return current
 
 
 def kxob22_cell() -> SingleDiodeCell:

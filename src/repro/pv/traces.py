@@ -46,8 +46,10 @@ class IrradianceTrace:
             raise ModelParameterError("a trace needs at least one breakpoint")
         if any(b <= a for a, b in zip(self.times_s, self.times_s[1:])):
             raise ModelParameterError("trace times must be strictly increasing")
-        if any(v < 0.0 for v in self.values):
-            raise ModelParameterError("irradiance values must be non-negative")
+        if not all(0.0 <= v < np.inf for v in self.values):
+            raise ModelParameterError(
+                "irradiance values must be finite and non-negative"
+            )
 
     def __call__(self, time_s: float) -> float:
         """Irradiance at ``time_s`` (scalar)."""

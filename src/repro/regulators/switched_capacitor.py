@@ -251,13 +251,18 @@ class SwitchedCapacitorRegulator(Regulator):
         )
         if budget <= 0.0:
             return 0.0
+        # The same expressions as no_load_voltage/current_limit, over the
+        # precomputed float ratios (as in _best_band).
+        drop_v = self.switching.drop_v
+        rout = self.output_impedance_ohm
         best = 0.0
-        for ratio in self.ratios:
-            vnl = self.no_load_voltage(ratio, v_in_resolved)
+        for _, ratio_f in self._ratio_bank:
+            vnl = ratio_f * v_in_resolved
             if vnl <= v_out:
                 continue
-            i_power = budget / (vnl + self.switching.drop_v)
-            i_cap = self.current_limit(ratio, v_out, v_in_resolved)
+            i_power = budget / (vnl + drop_v)
+            headroom = vnl - v_out
+            i_cap = 0.0 if headroom <= 0.0 else headroom / rout
             best = max(best, v_out * min(i_power, i_cap))
         return best
 

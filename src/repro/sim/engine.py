@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +125,20 @@ def resolve_decision(
     return (v_out, f, p_proc, p_draw, "regulated")
 
 
+def _pv_eval(
+    method: "Callable[[Any, float], Any]",
+    voltage: float,
+    irradiance: float,
+    as_array: bool,
+) -> float:
+    """``method(voltage, irradiance)`` as a float.  ``as_array`` solves a
+    one-element array, the pre-optimization loop's call shape (a scalar
+    voltage takes the ``current_scalar`` fast path)."""
+    if as_array:
+        return float(method(np.array([voltage]), irradiance)[0])
+    return float(method(voltage, irradiance))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Numerical and termination settings for a run.
@@ -170,9 +184,9 @@ class SimulationConfig:
     pv_reference: bool = False
 
     def __post_init__(self) -> None:
-        if self.time_step_s <= 0.0:
+        if not (0.0 < self.time_step_s < np.inf):
             raise ModelParameterError(
-                f"time step must be positive, got {self.time_step_s}"
+                f"time step must be finite and positive, got {self.time_step_s}"
             )
         if self.record_every < 1:
             raise ModelParameterError(
@@ -513,7 +527,7 @@ class TransientSimulator:
                         rec_ppv[recorded] = (
                             p_pv
                             if pv_current is not None
-                            else float(cell.power(v_node, irr))
+                            else _pv_eval(cell.power, v_node, irr, use_reference)
                         )
                         rec_pproc[recorded] = 0.0
                         rec_pdraw[recorded] = 0.0
@@ -537,7 +551,7 @@ class TransientSimulator:
                 in_brownout = False
 
             if pv_current is None:
-                p_pv = float(cell.power(v_node, irr))
+                p_pv = _pv_eval(cell.power, v_node, irr, use_reference)
             if step % cfg.record_every == 0:
                 rec_t[recorded] = t
                 rec_vnode[recorded] = v_node
@@ -583,7 +597,7 @@ class TransientSimulator:
 
             # Node update: PV source in, converter + comparators out.
             if pv_current is None:
-                i_pv = float(cell.current(v_node, irr))
+                i_pv = _pv_eval(cell.current, v_node, irr, use_reference)
             demand_w = p_draw + comparator_power
             if v_node > 1e-6:
                 i_draw = demand_w / v_node

@@ -55,10 +55,9 @@ class TestColdStartBitIdentity:
     def test_dense_grid_matches_array_path_bitwise(self, cell):
         """Per-point calls, matching the engine's pre-PR call shape.
 
-        (A *batched* array solve is not the comparison target: its
-        Newton loop stops on the max step across the whole batch, so
-        early-converging elements absorb extra refinement iterations
-        and can differ in the last bit from any per-point solve.)
+        (Array solves freeze each element at its own convergence, so
+        they equal these per-point solves too; that is asserted on
+        dense grids in ``tests/pv/test_solver_identity.py``.)
         """
         voltages = np.linspace(-0.2, 2.0, 551)
         for irr in (0.0, 0.05, 0.3, 1.0, 1.2):
