@@ -9,8 +9,9 @@ decision path is split by the control plane
 vectorizable family advance through batched skip predicates and masked
 array resolution (real ``decide`` calls only when the controller's own
 trigger conditions fire); unknown controller subclasses and lanes with
-DVFS transition models fall back to the scalar per-lane body, exactly
-as in the scalar engine.
+DVFS transition models advance through the scalar engine's own
+:meth:`repro.sim.engine.Lane.step`, so their step semantics are the
+scalar engine's by construction.
 
 **The equivalence guarantee.**  Lane ``i`` of a fleet run is
 bit-identical to a scalar :class:`~repro.sim.engine.TransientSimulator`
@@ -18,11 +19,16 @@ run of the same node: every float operation happens in the same order
 on the same doubles (the batched Newton freezes each lane exactly where
 the scalar iteration would return -- see :mod:`repro.fleet.pv` -- the
 vectorised capacitor update preserves the scalar expression order, and
-the control plane's vector resolution replays
-:func:`repro.sim.engine.resolve_decision` expression by expression),
-and skipped controller calls are provably no-ops.  ``tests/fleet/``
-asserts this across the full scenario matrix; the differential harness
-is the contract.
+the control plane's vector resolution replays the scalar decision
+resolution expression by expression), and skipped controller calls are
+provably no-ops.  ``tests/fleet/`` asserts this across the full
+scenario matrix; the differential harness is the contract.
+
+Every lane owns a :class:`~repro.sim.engine.Lane` whose record buffers
+are rows of the fleet's record arrays.  Vectorized lanes keep their
+continuously-updated state in the fleet's arrays and sync it into
+their ``Lane`` when they end; results and :class:`FleetState` are built
+from the lanes.
 
 Masking semantics: a lane dies (``stop_on_brownout`` break,
 ``stop_on_completion`` break) by leaving the live mask -- its state
@@ -33,15 +39,11 @@ death never perturbs a neighbour (also a tested property).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, cast
+from typing import Any, Dict, List, Sequence, Tuple, cast
 
 import numpy as np
 
-from repro.errors import (
-    ModelParameterError,
-    OperatingRangeError,
-    SimulationError,
-)
+from repro.errors import ModelParameterError, SimulationError
 from repro.core.mppt import MppTrackingController
 from repro.fleet.control import (
     FALLBACK_FAMILY,
@@ -63,9 +65,10 @@ from repro.pv.traces import IrradianceTrace
 from repro.regulators.base import Regulator
 from repro.sim.dvfs import ControllerView, DvfsController
 from repro.sim.engine import (
-    _IRR_PRECOMPUTE_MAX_SAMPLES,
+    Lane,
     SimulationConfig,
-    resolve_decision,
+    record_arrays,
+    step_irradiance,
 )
 from repro.sim.result import SimulationResult
 from repro.sim.transitions import DvfsTransitionModel
@@ -105,10 +108,7 @@ class FleetSimulator:
         One :class:`FleetNode` per lane.
     config:
         Shared :class:`~repro.sim.engine.SimulationConfig` -- the fleet
-        batches *homogeneous-config* shards.  ``fast_pv`` and
-        ``pv_reference`` are rejected: the fleet always runs the exact
-        batched solver (the approximate surface and the historical
-        reference loop are scalar-engine benchmarking tools).
+        batches *homogeneous-config* shards.
     telemetry:
         Optional *fleet-level* session for control-plane counters
         (``fleet.lanes``, ``fleet.lanes.vectorized``, ``fleet.lanes.
@@ -127,11 +127,6 @@ class FleetSimulator:
             raise ModelParameterError("a fleet needs at least one node")
         self.nodes = list(nodes)
         self.config = config or SimulationConfig()
-        if self.config.fast_pv or self.config.pv_reference:
-            raise ModelParameterError(
-                "the fleet engine always runs the exact batched solver; "
-                "fast_pv/pv_reference are scalar-engine options"
-            )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Populated by :meth:`run`; the end-of-run SoA snapshot.
         self.state: "FleetState | None" = None
@@ -157,10 +152,10 @@ class FleetSimulator:
         to its final voltage, as the scalar engine does.
         """
         nodes = self.nodes
-        lanes = len(nodes)
-        if len(traces) != lanes:
+        batch = len(nodes)
+        if len(traces) != batch:
             raise ModelParameterError(
-                f"got {len(traces)} traces for {lanes} nodes"
+                f"got {len(traces)} traces for {batch} nodes"
             )
         cfg = self.config
         dt = cfg.time_step_s
@@ -172,16 +167,7 @@ class FleetSimulator:
                     f"({sorted(durations)}); pass duration_s explicitly"
                 )
             duration_s = durations.pop()
-        if duration_s <= 0.0:
-            raise ModelParameterError(
-                f"duration must be positive, got {duration_s}"
-            )
-        steps = int(np.ceil(duration_s / dt))
-        if steps > cfg.max_steps:
-            raise SimulationError(
-                f"{steps} steps exceed max_steps={cfg.max_steps}; "
-                "raise time_step_s or max_steps"
-            )
+        steps = cfg.steps_for(duration_s)
 
         for node in nodes:
             node.controller.reset()
@@ -192,18 +178,7 @@ class FleetSimulator:
         controllers = [node.controller for node in nodes]
         processors = [node.processor for node in nodes]
         regulators = [node.regulator for node in nodes]
-        transitions = [node.transitions for node in nodes]
         comparators = [node.comparators for node in nodes]
-        tels = [
-            node.telemetry if node.telemetry is not None else NULL_TELEMETRY
-            for node in nodes
-        ]
-        comparator_power = [
-            node.comparators.total_power_w
-            if node.comparators is not None
-            else 0.0
-            for node in nodes
-        ]
         targets: "List[float | None]" = [
             node.workload.cycles if node.workload is not None else None
             for node in nodes
@@ -216,8 +191,7 @@ class FleetSimulator:
         )
 
         # Batched PV when every lane is a plain SingleDiodeCell;
-        # otherwise exact per-lane scalar solves (same fallback ladder
-        # as the scalar engine).
+        # otherwise exact per-lane solves, as the scalar engine does.
         params = CellParams.from_cells([node.cell for node in nodes])
         scalar_solves = [
             getattr(node.cell, "current_scalar", None) for node in nodes
@@ -225,14 +199,7 @@ class FleetSimulator:
 
         # Per-lane irradiance, precomputed in one vectorised sweep per
         # trace when possible (bit-identical; see step_samples).
-        irr_rows: "List[np.ndarray | None]" = []
-        for trace in traces:
-            row: "np.ndarray | None" = None
-            if steps + 1 <= _IRR_PRECOMPUTE_MAX_SAMPLES:
-                sampler = getattr(trace, "step_samples", None)
-                if sampler is not None:
-                    row = sampler(dt, steps)
-            irr_rows.append(row)
+        irr_rows = [step_irradiance(trace, dt, steps) for trace in traces]
         irr_mat: "np.ndarray | None" = None
         if all(row is not None for row in irr_rows):
             irr_mat = np.stack([row for row in irr_rows if row is not None])
@@ -244,14 +211,14 @@ class FleetSimulator:
         # pass every classify_controller guard.
         vector_ready = params is not None and irr_mat is not None
         families: "List[str | None]" = []
-        for i in range(lanes):
+        for i in range(batch):
             family: "str | None" = None
             if vector_ready:
                 family = classify_controller(
                     controllers[i],
                     processors[i],
                     regulators[i],
-                    transitions[i] is not None,
+                    nodes[i].transitions is not None,
                 )
                 if family is not None:
                     target = targets[i]
@@ -266,15 +233,15 @@ class FleetSimulator:
             if fam is not None:
                 family_counts[fam] = family_counts.get(fam, 0) + 1
         self.control_summary = {
-            "lanes": lanes,
+            "lanes": batch,
             "vectorized": nf,
-            "fallback": lanes - nf,
+            "fallback": batch - nf,
             "families": dict(sorted(family_counts.items())),
         }
         fleet_tel = self.telemetry
-        fleet_tel.count("fleet.lanes", float(lanes))
+        fleet_tel.count("fleet.lanes", float(batch))
         fleet_tel.count("fleet.lanes.vectorized", float(nf))
-        fleet_tel.count("fleet.lanes.fallback", float(lanes - nf))
+        fleet_tel.count("fleet.lanes.fallback", float(batch - nf))
         for fam, fam_count in sorted(family_counts.items()):
             fleet_tel.count(f"fleet.lanes.family.{fam}", float(fam_count))
 
@@ -286,9 +253,9 @@ class FleetSimulator:
         cap_leak = np.array(
             [node.capacitor.leakage_current_a for node in nodes]
         )
-        live = np.ones(lanes, dtype=bool)
-        irr_col = np.zeros(lanes)
-        i_net_arr = np.zeros(lanes)
+        live = np.ones(batch, dtype=bool)
+        irr_col = np.zeros(batch)
+        i_net_arr = np.zeros(batch)
         # Python-float mirrors of the hot per-lane reads: one tolist()
         # per step costs far less than per-lane numpy scalar indexing,
         # and float64 -> Python float is exact.  Only needed while
@@ -301,45 +268,11 @@ class FleetSimulator:
             np.ascontiguousarray(irr_mat.T) if irr_mat is not None else None
         )
 
-        record_count = steps // cfg.record_every + 1
-        rec_t = np.empty((lanes, record_count))
-        rec_vnode = np.empty((lanes, record_count))
-        rec_vproc = np.empty((lanes, record_count))
-        rec_f = np.empty((lanes, record_count))
-        rec_ppv = np.empty((lanes, record_count))
-        rec_pproc = np.empty((lanes, record_count))
-        rec_pdraw = np.empty((lanes, record_count))
-        rec_irr = np.empty((lanes, record_count))
-        rec_mode = np.empty((lanes, record_count), dtype=np.int8)
-        recorded = [0] * lanes
-
-        mode_codes = SimulationResult.MODE_CODES
-
-        # Per-lane loop state, exactly the scalar engine's locals.
-        # Fast lanes keep the continuously-updated fields in the fleet
-        # arrays below and sync these master lists at lane death and at
-        # run end; fallback lanes use them directly every step.
-        cycles = [0.0] * lanes
-        prev_v_proc = [0.0] * lanes
-        prev_mode: "List[str | None]" = [None] * lanes
-        prev_setpoint_v = [0.0] * lanes
-        lockout_until = [-1.0] * lanes
-        transition_count = [0] * lanes
-        pending_events: "List[tuple]" = [()] * lanes
-        completed = [False] * lanes
-        completion_time: "List[float | None]" = [None] * lanes
-        browned_out = [False] * lanes
-        brownout_time: "List[float | None]" = [None] * lanes
-        brownout_count = [0] * lanes
-        downtime_s = [0.0] * lanes
-        recovering = [False] * lanes
-        in_brownout = [False] * lanes
-        node_collapsed = [False] * lanes
-        telemetry_mode: "List[str | None]" = [None] * lanes
-        outage_started_s: "List[float | None]" = [None] * lanes
-        events: "List[list]" = [[] for _ in range(lanes)]
-        end_step = [-1] * lanes
-        end_time = [float("nan")] * lanes
+        records = record_arrays((batch, steps // cfg.record_every + 1))
+        (
+            rec_t, rec_vnode, rec_vproc, rec_f, rec_ppv, rec_pproc,
+            rec_pdraw, rec_irr, rec_mode,
+        ) = records
 
         # -- control plane and fast-lane state arrays -----------------
         plane: "ControlPlane | None" = None
@@ -374,7 +307,12 @@ class FleetSimulator:
                 ]
             )
             has_targetF = ~np.isnan(targetF)
-            comp_powF = np.array([comparator_power[i] for i in fast_idx])
+            comp_powF = np.array(
+                [
+                    0.0 if bank is None else bank.total_power_w
+                    for bank in [comparators[i] for i in fast_idx]
+                ]
+            )
             posF_alive = np.arange(nf)
             fidx_alive = fidx
             pend_rows: "List[int]" = []
@@ -396,27 +334,33 @@ class FleetSimulator:
                 lens = ComparatorLens(served_pos, served_banks)
 
         watch = Stopwatch()
-        for i in range(lanes):
-            tels[i].begin_span(
-                "engine.run", 0.0, track="engine",
-                dt_s=dt, planned_steps=steps,
-            )
+        lanes = [
+            Lane(node, cfg, steps, caches[i], tuple(rec[i] for rec in records))
+            for i, node in enumerate(nodes)
+        ]
+        results: "List[Any]" = [None] * batch
 
-        def finish_lane(i: int, lane_step: int, lane_t: float) -> None:
-            """The scalar engine's after-loop telemetry, at lane end."""
-            tel = tels[i]
-            outage_start = outage_started_s[i]
-            if outage_start is not None:
-                tel.end_span(lane_t)
-                tel.observe("brownout.outage_s", lane_t - outage_start)
-            tel.end_span(lane_t, steps=float(lane_step + 1))
-            tel.count("engine.steps", float(lane_step + 1))
-            tel.gauge("brownout.downtime_s", downtime_s[i])
-            tel.gauge("engine.final_cycles", float(cycles[i]))
-            tel.profile("engine.run_wall_s", watch.elapsed_s())
+        def finish(i: int, lane_step: int, lane_t: float) -> None:
+            """End lane ``i``: the scalar engine's after-loop block."""
+            results[i] = lanes[i].finish(lane_step, lane_t, watch.elapsed_s())
             live[i] = False
-            end_step[i] = lane_step
-            end_time[i] = lane_t
+
+        def sync(kk: int) -> Lane:
+            """Copy fast lane ``kk``'s array state into its ``Lane``."""
+            lane = lanes[fast_idx[kk]]
+            lane.cycles = float(cyclesF[kk])
+            lane.prev_v_proc = float(prev_vprocF[kk])
+            lane.downtime_s = float(downtimeF[kk])
+            lane.recovering = bool(recoveringF[kk])
+            lane.in_brownout = bool(in_boF[kk])
+            lane.node_collapsed = bool(collapsedF[kk])
+            lane.brownout_count = int(bocountF[kk])
+            tmode_code = int(tmodeF[kk])
+            lane.telemetry_mode = (
+                None if tmode_code == NO_MODE else MODE_NAMES[tmode_code]
+            )
+            lane.recorded = step // cfg.record_every + 1
+            return lane
 
         timer = self.phase_timer
         slow_alive = list(slow_idx)
@@ -459,7 +403,7 @@ class FleetSimulator:
                 ppvF = vF * ipvF
                 irrF = irr_steps[step][fidx]
 
-                # Power-good release (see the scalar engine).
+                # Power-good release (see Lane.step).
                 if recoveringF.any():
                     release = (
                         faliveF
@@ -468,21 +412,21 @@ class FleetSimulator:
                     )
                     for k in np.nonzero(release)[0]:
                         kk = int(k)
-                        i = fast_idx[kk]
-                        tel = tels[i]
+                        lane = lanes[fast_idx[kk]]
+                        tel = lane.tel
                         recoveringF[kk] = False
                         v_node = float(vF[kk])
-                        events[i].append(("recovered", t))
+                        lane.events.append(("recovered", t))
                         tel.event(
                             "recovered", t, track="engine", node_v=v_node
                         )
-                        outage_start = outage_started_s[i]
+                        outage_start = lane.outage_started_s
                         if outage_start is not None:
                             tel.end_span(t)
                             tel.observe(
                                 "brownout.outage_s", t - outage_start
                             )
-                            outage_started_s[i] = None
+                            lane.outage_started_s = None
 
                 # Real decide calls only where the skip predicates fire.
                 need = plane.decision_flags(
@@ -505,7 +449,7 @@ class FleetSimulator:
                             node_voltage_v=v_node,
                             processor_voltage_v=float(prev_vprocF[kk]),
                             cycles_done=float(cyclesF[kk]),
-                            comparator_events=pending_events[i],
+                            comparator_events=lanes[i].pending_events,
                             recovering=bool(recoveringF[kk]),
                             brownout_count=int(bocountF[kk]),
                         )
@@ -531,9 +475,9 @@ class FleetSimulator:
                         kk = int(k)
                         old_code = int(tmodeF[kk])
                         if old_code != NO_MODE:
-                            i = fast_idx[kk]
-                            tels[i].count("regulator.mode_switches")
-                            tels[i].event(
+                            tel = lanes[fast_idx[kk]].tel
+                            tel.count("regulator.mode_switches")
+                            tel.event(
                                 "regulator.mode_switch", t, track="engine",
                                 previous=MODE_NAMES[old_code],
                                 new=MODE_NAMES[int(modeF[kk])],
@@ -556,14 +500,14 @@ class FleetSimulator:
                     for k in np.nonzero(entering)[0]:
                         kk = int(k)
                         i = fast_idx[kk]
-                        tel = tels[i]
+                        lane = lanes[i]
+                        tel = lane.tel
                         in_boF[kk] = True
-                        browned_out[i] = True
+                        lane.browned_out = True
                         bocountF[kk] += 1
-                        brownout_count[i] += 1
-                        if brownout_time[i] is None:
-                            brownout_time[i] = t
-                        events[i].append(("brownout", t))
+                        if lane.brownout_time is None:
+                            lane.brownout_time = t
+                        lane.events.append(("brownout", t))
                         tel.count("brownout.count")
                         tel.event(
                             "brownout", t, track="engine",
@@ -580,24 +524,18 @@ class FleetSimulator:
                                 rec_pproc[i, col] = 0.0
                                 rec_pdraw[i, col] = 0.0
                                 rec_irr[i, col] = irrF[kk]
-                                rec_mode[i, col] = mode_codes["halt"]
-                                recorded[i] = col + 1
-                            else:
-                                recorded[i] = (
-                                    (step - 1) // cfg.record_every + 1
-                                )
-                            cycles[i] = float(cyclesF[kk])
-                            downtime_s[i] = float(downtimeF[kk])
-                            finish_lane(i, step, t)
+                                rec_mode[i, col] = M_HALT
+                            sync(kk)
+                            finish(i, step, t)
                             faliveF[kk] = False
                             any_died = True
                         elif cfg.recover_from_brownout:
                             recoveringF[kk] = True
-                            if outage_started_s[i] is None:
+                            if lane.outage_started_s is None:
                                 tel.begin_span(
                                     "brownout.outage", t, track="engine"
                                 )
-                                outage_started_s[i] = t
+                                lane.outage_started_s = t
                             v_procF[kk] = 0.0
                             fF[kk] = 0.0
                             p_procF[kk] = 0.0
@@ -642,9 +580,9 @@ class FleetSimulator:
                         for k in np.nonzero(completing)[0]:
                             kk = int(k)
                             i = fast_idx[kk]
-                            tel = tels[i]
+                            lane = lanes[i]
                             completedF[kk] = True
-                            completed[i] = True
+                            lane.completed = True
                             target = targets[i]
                             f_py = float(fF[kk])
                             if f_py > 0.0:
@@ -653,17 +591,15 @@ class FleetSimulator:
                                 )
                             else:
                                 crossed_t = t
-                            completion_time[i] = crossed_t
-                            events[i].append(("completed", crossed_t))
-                            tel.event(
+                            lane.completion_time = crossed_t
+                            lane.events.append(("completed", crossed_t))
+                            lane.tel.event(
                                 "workload.completed", crossed_t,
                                 track="engine", cycles=float(target),
                             )
                             if cfg.stop_on_completion:
-                                cycles[i] = float(new_cyclesF[kk])
-                                downtime_s[i] = float(downtimeF[kk])
-                                recorded[i] = step // cfg.record_every + 1
-                                finish_lane(i, step, t)
+                                sync(kk).cycles = float(new_cyclesF[kk])
+                                finish(i, step, t)
                                 faliveF[kk] = False
                                 any_died = True
                     cyclesF = np.where(updatable, new_cyclesF, cyclesF)
@@ -686,231 +622,43 @@ class FleetSimulator:
                     if collapsing.any():
                         for k in np.nonzero(collapsing)[0]:
                             kk = int(k)
-                            i = fast_idx[kk]
+                            lane = lanes[fast_idx[kk]]
                             collapsedF[kk] = True
-                            events[i].append(("node_collapse", t))
-                            tels[i].event("node.collapse", t, track="engine")
+                            lane.events.append(("node_collapse", t))
+                            lane.tel.event("node.collapse", t, track="engine")
                     # Dead lanes get don't-care values; the capacitor
                     # update never applies them (live mask).
                     i_net_arr[fidx] = ipvF - i_drawF
                 if timer is not None:
                     t_mark = timer.add("control", t_mark)
 
-            # ---- scalar fallback lanes ------------------------------
+            # ---- scalar fallback lanes: the scalar engine's step ----
             for i in slow_alive:
-                tel = tels[i]
                 v_node = v_list[i]
                 pylist = irr_pylists[i]
                 irr = pylist[step] if pylist is not None else traces[i](t)
-
                 if i_pv_list is not None:
                     i_pv = i_pv_list[i]
-                    p_pv = v_node * i_pv
+                    i_draw = lanes[i].step(step, t, v_node, irr, v_node * i_pv)
                 else:
                     solve = scalar_solves[i]
                     if solve is not None:
                         i_pv = solve(v_node, irr)
-                        p_pv = v_node * i_pv
+                        i_draw = lanes[i].step(
+                            step, t, v_node, irr, v_node * i_pv
+                        )
                     else:
-                        i_pv = 0.0
-                        p_pv = 0.0
-
-                # Power-good release (see the scalar engine).
-                if recovering[i] and v_node >= cfg.recovery_voltage_v:
-                    recovering[i] = False
-                    events[i].append(("recovered", t))
-                    tel.event("recovered", t, track="engine", node_v=v_node)
-                    outage_start = outage_started_s[i]
-                    if outage_start is not None:
-                        tel.end_span(t)
-                        tel.observe("brownout.outage_s", t - outage_start)
-                        outage_started_s[i] = None
-
-                view = ControllerView(
-                    time_s=t,
-                    node_voltage_v=v_node,
-                    processor_voltage_v=prev_v_proc[i],
-                    cycles_done=cycles[i],
-                    comparator_events=pending_events[i],
-                    recovering=recovering[i],
-                    brownout_count=brownout_count[i],
-                )
-                decision = controllers[i].decide(view)
-                v_proc, f, p_proc, p_draw, mode = resolve_decision(
-                    processors[i], regulators[i], decision, v_node, caches[i]
-                )
-                if recovering[i]:
-                    v_proc, f, p_proc, p_draw, mode = (
-                        0.0, 0.0, 0.0, 0.0, "halt",
-                    )
-                prev_v_proc[i] = v_proc
-
-                # DVFS transition accounting: settle lockout + recharge.
-                tr = transitions[i]
-                if tr is not None:
-                    if tr.is_transition(
-                        prev_mode[i], prev_setpoint_v[i], mode, v_proc
-                    ):
-                        transition_count[i] += 1
-                        tel.count("dvfs.transitions")
-                        tel.event(
-                            "dvfs.transition", t, track="engine",
-                            previous=prev_mode[i] or "", new=mode,
-                            setpoint_v=v_proc,
+                        cell = nodes[i].cell
+                        i_draw = lanes[i].step(
+                            step, t, v_node, irr,
+                            float(cell.power(v_node, irr)),
                         )
-                        lockout_until[i] = t + tr.settle_time_s
-                        recharge = tr.transition_energy_j(
-                            prev_setpoint_v[i], v_proc
-                        )
-                        if recharge > 0.0:
-                            p_draw += recharge / dt
-                    if mode != "halt":
-                        prev_mode[i] = mode
-                        prev_setpoint_v[i] = v_proc
-                    if t < lockout_until[i] and f > 0.0:
-                        f = 0.0
-                        p_proc = (
-                            float(processors[i].leakage.power(v_proc))
-                            if v_proc >= processors[i].min_operating_v
-                            else 0.0
-                        )
-                        if mode == "regulated":
-                            try:
-                                p_draw = max(
-                                    p_draw,
-                                    regulators[i].input_power(
-                                        v_proc, p_proc, v_in=v_node
-                                    ),
-                                )
-                            except OperatingRangeError:
-                                pass
-                        elif mode == "bypass":
-                            p_draw = p_proc
-
-                # Converter-path mode switch telemetry.
-                if mode != telemetry_mode[i]:
-                    if telemetry_mode[i] is not None:
-                        tel.count("regulator.mode_switches")
-                        tel.event(
-                            "regulator.mode_switch", t, track="engine",
-                            previous=telemetry_mode[i], new=mode,
-                            node_v=v_node,
-                        )
-                    telemetry_mode[i] = mode
-
-                # Brownout: commanded work the supply cannot run.
-                stalled_lane = (
-                    decision.frequency_hz > 0.0
-                    and f == 0.0
-                    and mode == "halt"
-                    and decision.mode != "halt"
-                    and not completed[i]
-                    and not recovering[i]
-                )
-                if stalled_lane and not in_brownout[i]:
-                    in_brownout[i] = True
-                    browned_out[i] = True
-                    brownout_count[i] += 1
-                    if brownout_time[i] is None:
-                        brownout_time[i] = t
-                    events[i].append(("brownout", t))
-                    tel.count("brownout.count")
-                    tel.event("brownout", t, track="engine", node_v=v_node)
-                    if cfg.stop_on_brownout:
-                        if step % cfg.record_every == 0:
-                            col = recorded[i]
-                            rec_t[i, col] = t
-                            rec_vnode[i, col] = v_node
-                            rec_vproc[i, col] = v_proc
-                            rec_f[i, col] = 0.0
-                            rec_ppv[i, col] = (
-                                p_pv
-                                if params is not None
-                                or scalar_solves[i] is not None
-                                else float(nodes[i].cell.power(v_node, irr))
-                            )
-                            rec_pproc[i, col] = 0.0
-                            rec_pdraw[i, col] = 0.0
-                            rec_irr[i, col] = irr
-                            rec_mode[i, col] = mode_codes["halt"]
-                            recorded[i] = col + 1
-                        finish_lane(i, step, t)
-                        any_died = True
-                        continue
-                    if cfg.recover_from_brownout:
-                        recovering[i] = True
-                        if outage_started_s[i] is None:
-                            tel.begin_span(
-                                "brownout.outage", t, track="engine"
-                            )
-                            outage_started_s[i] = t
-                        v_proc, f, p_proc, p_draw, mode = (
-                            0.0, 0.0, 0.0, 0.0, "halt",
-                        )
-                        prev_v_proc[i] = 0.0
-                elif f > 0.0:
-                    in_brownout[i] = False
-
-                if params is None and scalar_solves[i] is None:
-                    p_pv = float(nodes[i].cell.power(v_node, irr))
-                if step % cfg.record_every == 0:
-                    col = recorded[i]
-                    rec_t[i, col] = t
-                    rec_vnode[i, col] = v_node
-                    rec_vproc[i, col] = v_proc
-                    rec_f[i, col] = f
-                    rec_ppv[i, col] = p_pv
-                    rec_pproc[i, col] = p_proc
-                    rec_pdraw[i, col] = p_draw
-                    rec_irr[i, col] = irr
-                    rec_mode[i, col] = mode_codes[mode]
-                    recorded[i] = col + 1
-
-                if step == steps:
+                        if i_draw is not None:
+                            i_pv = float(cell.current(v_node, irr))
+                if i_draw is None:
+                    finish(i, step, t)
+                    any_died = True
                     continue
-
-                # Cycle bookkeeping and completion detection.
-                target = targets[i]
-                new_cycles = cycles[i] + f * dt
-                if (
-                    target is not None
-                    and not completed[i]
-                    and new_cycles >= target
-                ):
-                    completed[i] = True
-                    if f > 0.0:
-                        crossed_t = t + (target - cycles[i]) / f
-                    else:
-                        crossed_t = t
-                    completion_time[i] = crossed_t
-                    events[i].append(("completed", crossed_t))
-                    tel.event(
-                        "workload.completed", crossed_t,
-                        track="engine", cycles=float(target),
-                    )
-                    if cfg.stop_on_completion:
-                        cycles[i] = new_cycles
-                        finish_lane(i, step, t)
-                        any_died = True
-                        continue
-                cycles[i] = new_cycles
-
-                if recovering[i] or (in_brownout[i] and f == 0.0):
-                    downtime_s[i] += dt
-
-                # Node demand; the capacitor integration is batched.
-                if params is None and scalar_solves[i] is None:
-                    i_pv = float(nodes[i].cell.current(v_node, irr))
-                demand_w = p_draw + comparator_power[i]
-                if v_node > 1e-6:
-                    i_draw = demand_w / v_node
-                    node_collapsed[i] = False
-                else:
-                    i_draw = 0.0
-                    if demand_w > 0.0 and not node_collapsed[i]:
-                        node_collapsed[i] = True
-                        events[i].append(("node_collapse", t))
-                        tel.event("node.collapse", t, track="engine")
                 i_net_arr[i] = i_pv - i_draw
 
             if timer is not None and slow_alive:
@@ -954,18 +702,12 @@ class FleetSimulator:
 
             # Comparator observations feed the next step's views.
             for i in slow_alive:
-                bank = comparators[i]
-                if bank is not None:
-                    pending_events[i] = tuple(
-                        bank.observe(t + dt, v_list[i])
-                    )
-                else:
-                    pending_events[i] = ()
+                lanes[i].observe(t + dt, v_list[i])
             if nf:
                 v_prevF = vF
                 if pend_rows:
                     for kk in pend_rows:
-                        pending_events[fast_idx[kk]] = ()
+                        lanes[fast_idx[kk]].pending_events = ()
                     pendF[pend_rows] = False
                     pend_rows = []
                 if lens is not None or noisy_banks:
@@ -982,7 +724,7 @@ class FleetSimulator:
                             )
                             lens.refresh(rr)
                             if new_events:
-                                pending_events[i] = tuple(new_events)
+                                lanes[i].pending_events = tuple(new_events)
                                 pendF[kk] = True
                                 pend_rows.append(kk)
                     for kk, i, bank in noisy_banks:
@@ -991,7 +733,7 @@ class FleetSimulator:
                                 t + dt, float(vF_next[kk])
                             )
                             if new_events:
-                                pending_events[i] = tuple(new_events)
+                                lanes[i].pending_events = tuple(new_events)
                                 pendF[kk] = True
                                 pend_rows.append(kk)
             if timer is not None:
@@ -999,135 +741,101 @@ class FleetSimulator:
 
             t += dt
 
-        # Sync the fast lanes' continuously-updated state back into the
-        # master per-lane lists (dead lanes were synced at death; their
-        # arrays are frozen, so re-syncing is a no-op).
-        if nf:
-            for kk in range(nf):
-                i = fast_idx[kk]
-                cycles[i] = float(cyclesF[kk])
-                prev_v_proc[i] = float(prev_vprocF[kk])
-                downtime_s[i] = float(downtimeF[kk])
-                recovering[i] = bool(recoveringF[kk])
-                in_brownout[i] = bool(in_boF[kk])
-                node_collapsed[i] = bool(collapsedF[kk])
-                brownout_count[i] = int(bocountF[kk])
-                tmode_code = int(tmodeF[kk])
-                telemetry_mode[i] = (
-                    None if tmode_code == NO_MODE else MODE_NAMES[tmode_code]
-                )
-                if live[i]:
-                    recorded[i] = step // cfg.record_every + 1
-
         # Lanes that reached the end of the grid finish here, exactly
-        # like the scalar engine's after-loop block.
-        for i in range(lanes):
+        # like the scalar engine's after-loop block; fast lanes sync
+        # their array state first (dead ones synced at death).
+        for kk in range(nf):
+            if live[fast_idx[kk]]:
+                sync(kk)
+        for i in range(batch):
             if live[i]:
-                finish_lane(i, step, t)
+                finish(i, step, t)
 
         # Final capacitor write-back (the scalar engine mutates its
         # capacitor in place throughout; the fleet defers to the end).
-        for i in range(lanes):
+        for i in range(batch):
             nodes[i].capacitor.charge(float(v[i]))
 
-        self.state = FleetState(
-            time_s=t,
-            step=step,
-            node_voltage_v=v.copy(),
-            processor_voltage_v=np.array(prev_v_proc),
-            cycles_done=np.array(cycles),
-            prev_setpoint_v=np.array(prev_setpoint_v),
-            lockout_until_s=np.array(lockout_until),
-            downtime_s=np.array(downtime_s),
-            completion_time_s=np.array(
-                [
-                    float("nan") if value is None else value
-                    for value in completion_time
-                ]
-            ),
-            brownout_time_s=np.array(
-                [
-                    float("nan") if value is None else value
-                    for value in brownout_time
-                ]
-            ),
-            outage_started_s=np.array(
-                [
-                    float("nan") if value is None else value
-                    for value in outage_started_s
-                ]
-            ),
-            end_time_s=np.array(end_time),
-            prev_mode=np.array(
-                [
-                    NO_MODE if name is None else mode_codes[name]
-                    for name in prev_mode
-                ],
-                dtype=np.int8,
-            ),
-            telemetry_mode=np.array(
-                [
-                    NO_MODE if name is None else mode_codes[name]
-                    for name in telemetry_mode
-                ],
-                dtype=np.int8,
-            ),
-            transition_count=np.array(transition_count, dtype=np.int64),
-            brownout_count=np.array(brownout_count, dtype=np.int64),
-            end_step=np.array(end_step, dtype=np.int64),
-            completed=np.array(completed, dtype=bool),
-            browned_out=np.array(browned_out, dtype=bool),
-            recovering=np.array(recovering, dtype=bool),
-            in_brownout=np.array(in_brownout, dtype=bool),
-            node_collapsed=np.array(node_collapsed, dtype=bool),
-            live=live.copy(),
-            control_family=np.array(
-                [
-                    FALLBACK_FAMILY if fam is None else FAMILY_CODES[fam]
-                    for fam in families
-                ],
-                dtype=np.int8,
-            ),
-            capacitance_f=cap_c.copy(),
-            esr_ohm=cap_esr.copy(),
-            max_voltage_v=cap_vmax.copy(),
-            leakage_current_a=cap_leak.copy(),
-            seeds=np.array(
-                [
-                    -1 if node.seed is None else node.seed
-                    for node in nodes
-                ],
-                dtype=np.int64,
-            ),
+        self.state = _fleet_state(
+            t, step, v, live, lanes, families, cap_c, cap_esr, cap_vmax,
+            cap_leak, nodes,
+        )
+        return cast("List[SimulationResult]", results)
+
+
+def _fleet_state(
+    t: float,
+    step: int,
+    v: np.ndarray,
+    live: np.ndarray,
+    lanes: Sequence[Lane],
+    families: "Sequence[str | None]",
+    cap_c: np.ndarray,
+    cap_esr: np.ndarray,
+    cap_vmax: np.ndarray,
+    cap_leak: np.ndarray,
+    nodes: Sequence[FleetNode],
+) -> FleetState:
+    """The end-of-run snapshot, read off the lanes."""
+    mode_codes = SimulationResult.MODE_CODES
+
+    def column(attr: str, dtype: Any = np.float64) -> np.ndarray:
+        return np.array([getattr(lane, attr) for lane in lanes], dtype=dtype)
+
+    def optional(attr: str) -> np.ndarray:
+        return np.array(
+            [
+                float("nan") if value is None else value
+                for value in (getattr(lane, attr) for lane in lanes)
+            ]
         )
 
-        results: List[SimulationResult] = []
-        for i in range(lanes):
-            n = recorded[i]
-            result = SimulationResult(
-                time_s=rec_t[i, :n].copy(),
-                node_voltage_v=rec_vnode[i, :n].copy(),
-                processor_voltage_v=rec_vproc[i, :n].copy(),
-                frequency_hz=rec_f[i, :n].copy(),
-                harvest_power_w=rec_ppv[i, :n].copy(),
-                processor_power_w=rec_pproc[i, :n].copy(),
-                draw_power_w=rec_pdraw[i, :n].copy(),
-                irradiance=rec_irr[i, :n].copy(),
-                mode=rec_mode[i, :n].copy(),
-                completed=completed[i],
-                completion_time_s=completion_time[i],
-                browned_out=browned_out[i],
-                brownout_time_s=brownout_time[i],
-                brownout_count=brownout_count[i],
-                downtime_s=downtime_s[i],
-                final_cycles=cycles[i],
-                events=events[i],
-                metrics=tels[i].result_metrics(),
-            )
-            result.events.extend(
-                [("transitions", float(transition_count[i]))]
-                if transitions[i] is not None
-                else []
-            )
-            results.append(result)
-        return results
+    def modes(attr: str) -> np.ndarray:
+        return np.array(
+            [
+                NO_MODE if name is None else mode_codes[name]
+                for name in (getattr(lane, attr) for lane in lanes)
+            ],
+            dtype=np.int8,
+        )
+
+    return FleetState(
+        time_s=t,
+        step=step,
+        node_voltage_v=v.copy(),
+        processor_voltage_v=column("prev_v_proc"),
+        cycles_done=column("cycles"),
+        prev_setpoint_v=column("prev_setpoint_v"),
+        lockout_until_s=column("lockout_until"),
+        downtime_s=column("downtime_s"),
+        completion_time_s=optional("completion_time"),
+        brownout_time_s=optional("brownout_time"),
+        outage_started_s=optional("outage_started_s"),
+        end_time_s=column("end_time_s"),
+        prev_mode=modes("prev_mode"),
+        telemetry_mode=modes("telemetry_mode"),
+        transition_count=column("transition_count", np.int64),
+        brownout_count=column("brownout_count", np.int64),
+        end_step=column("end_step", np.int64),
+        completed=column("completed", bool),
+        browned_out=column("browned_out", bool),
+        recovering=column("recovering", bool),
+        in_brownout=column("in_brownout", bool),
+        node_collapsed=column("node_collapsed", bool),
+        live=live.copy(),
+        control_family=np.array(
+            [
+                FALLBACK_FAMILY if fam is None else FAMILY_CODES[fam]
+                for fam in families
+            ],
+            dtype=np.int8,
+        ),
+        capacitance_f=cap_c.copy(),
+        esr_ohm=cap_esr.copy(),
+        max_voltage_v=cap_vmax.copy(),
+        leakage_current_a=cap_leak.copy(),
+        seeds=np.array(
+            [-1 if node.seed is None else node.seed for node in nodes],
+            dtype=np.int64,
+        ),
+    )

@@ -1,17 +1,11 @@
-"""Hot-path performance layer for the transient engine.
+"""Hot-path benchmark for the transient engine.
 
-The ROADMAP's north star is "as fast as the hardware allows"; this
-package holds the pieces that make the per-step physics cheap without
-touching the repo's determinism contract:
-
-* :mod:`repro.perf.surface` -- the opt-in pre-characterized
-  :class:`~repro.perf.surface.PvSurface` (offline Newton sweep,
-  bilinear lookup in the loop), mirroring the paper's Section VI-A
-  look-up-from-characterization insight.
-* :mod:`repro.perf.benchmark` -- the steps/s benchmark harness behind
-  ``repro bench`` and ``benchmarks/test_engine_hotpath.py``, measuring
-  the default (bit-exact) and ``fast_pv`` paths against the
-  pre-optimization reference engine.
+:mod:`repro.perf.benchmark` is the steps/s harness behind
+``repro bench`` and ``benchmarks/test_engine_hotpath.py``: it times the
+default engine against :func:`~repro.perf.benchmark.run_reference`,
+the pre-optimization loop rebuilt over the engine's own
+:class:`~repro.sim.engine.Lane`, and checks that both produce the same
+results bit for bit.
 
 The bit-exact scalar solver itself lives on
 :meth:`repro.pv.cell.SingleDiodeCell.current_scalar`, where the physics
@@ -22,15 +16,14 @@ from repro.perf.benchmark import (
     HotpathReport,
     VariantTiming,
     run_hotpath_benchmark,
+    run_reference,
     write_report,
 )
-from repro.perf.surface import PvSurface, surface_for_cell
 
 __all__ = [
     "HotpathReport",
-    "PvSurface",
     "VariantTiming",
     "run_hotpath_benchmark",
-    "surface_for_cell",
+    "run_reference",
     "write_report",
 ]

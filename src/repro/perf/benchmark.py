@@ -2,27 +2,27 @@
 
 Times the Fig. 8 MPPT workload (the paper's dim-and-retrack scenario:
 full DVFS controller, comparator bank, SC regulator -- the engine's
-most representative closed loop) under three solver configurations:
+most representative closed loop) in two variants:
 
-* ``reference`` -- ``SimulationConfig(pv_reference=True)``: the
-  pre-optimization engine (two array Newton solves per step, per-step
-  scalar trace interpolation, no memoization);
-* ``default`` -- the shipping configuration: one cold-started scalar
-  Newton solve per step, bit-identical to the reference;
-* ``fast_pv`` -- ``SimulationConfig(fast_pv=True)``: the opt-in
-  pre-characterized bilinear surface.
+* ``reference`` -- :func:`run_reference`: the pre-optimization loop
+  (one-element-array power and current solves every step, per-step
+  trace interpolation, no decision memo), rebuilt over the
+  engine's own :class:`~repro.sim.engine.Lane` so it shares the step
+  semantics and keeps only the historical cost profile;
+* ``default`` -- :meth:`TransientSimulator.run`: one cold-started
+  scalar Newton solve per step, bit-identical to the reference.
 
 Honest numbers, like the parallel campaign bench: wall time is the
 best of ``rounds`` timed runs (after one untimed warm-up that also
-builds the MPP LUT and PV surface caches), bit-identity between the
-default and reference results is *measured* on the actual run outputs
-rather than assumed, and the ``fast_pv`` deviation is reported as the
-observed maxima.  ``repro bench`` writes the report as JSON.
+builds the MPP LUT caches), and bit-identity between the default and
+reference results is *measured* on the actual run outputs rather than
+assumed.  ``repro bench`` writes the report as JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,15 +32,15 @@ import numpy as np
 
 from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
 from repro.core.system import EnergyHarvestingSoC
-from repro.errors import ModelParameterError
+from repro.errors import ModelParameterError, SimulationError
 from repro.parallel.cache import characterized_system
-from repro.pv.traces import step_trace
-from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.pv.traces import IrradianceTrace, step_trace
+from repro.sim.engine import Lane, SimulationConfig, TransientSimulator
 from repro.sim.result import SimulationResult
 from repro.telemetry.profiling import Stopwatch
 
 #: Benchmark variants in reporting order.
-VARIANTS: Tuple[str, ...] = ("reference", "default", "fast_pv")
+VARIANTS: Tuple[str, ...] = ("reference", "default")
 
 #: The acceptance target for the default (bit-exact) path.
 TARGET_SPEEDUP = 2.0
@@ -68,11 +68,8 @@ class HotpathReport:
     smoke: bool
     timings: Tuple[VariantTiming, ...]
     speedup_default: float
-    speedup_fast_pv: float
     target_speedup: float
     default_bit_identical: bool
-    fast_pv_max_node_voltage_error_v: float
-    fast_pv_max_harvest_power_error_w: float
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (sorted by the writer)."""
@@ -92,39 +89,63 @@ class HotpathReport:
                 for timing in self.timings
             },
             "speedup_default": round(self.speedup_default, 3),
-            "speedup_fast_pv": round(self.speedup_fast_pv, 3),
             "target_speedup": self.target_speedup,
             "default_bit_identical": self.default_bit_identical,
-            "fast_pv_max_node_voltage_error_v": float(
-                self.fast_pv_max_node_voltage_error_v
-            ),
-            "fast_pv_max_harvest_power_error_w": float(
-                self.fast_pv_max_harvest_power_error_w
-            ),
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
         }
 
 
-def _variant_config(variant: str, time_step_s: float) -> SimulationConfig:
-    if variant not in VARIANTS:
-        raise ModelParameterError(
-            f"unknown benchmark variant {variant!r}; expected one of {VARIANTS}"
-        )
-    return SimulationConfig(
-        time_step_s=time_step_s,
-        record_every=4,
-        stop_on_brownout=False,
-        pv_reference=(variant == "reference"),
-        fast_pv=(variant == "fast_pv"),
+def run_reference(
+    simulator: TransientSimulator,
+    trace: IrradianceTrace,
+    duration_s: "float | None" = None,
+) -> SimulationResult:
+    """Run ``simulator`` through the pre-optimization loop.
+
+    The same :class:`~repro.sim.engine.Lane` steps as in
+    :meth:`TransientSimulator.run`, so the results are bit-identical;
+    only the cost differs: every step solves the harvest power and then
+    the current on one-element arrays, evaluates the trace at ``t`` and
+    resolves decisions without a memo.  The denominator of the
+    hot-path speedup.
+    """
+    cfg = simulator.config
+    dt = cfg.time_step_s
+    steps = cfg.steps_for(
+        trace.duration_s if duration_s is None else duration_s
     )
+    simulator.controller.reset()
+    if simulator.comparators is not None:
+        simulator.comparators.reset()
+    cell = simulator.cell
+    capacitor = simulator.node_capacitor
+
+    watch = Stopwatch()
+    lane = Lane(simulator, cfg, steps, None)
+    t = 0.0
+    for step in range(steps + 1):
+        v_node = capacitor.voltage_v
+        irr = trace(t)
+        p_pv = float(cell.power(np.array([v_node]), irr)[0])
+        i_draw = lane.step(step, t, v_node, irr, p_pv)
+        if i_draw is None:
+            break
+        i_pv = float(cell.current(np.array([v_node]), irr)[0])
+        capacitor.apply_current(i_pv - i_draw, dt)
+        if not math.isfinite(capacitor.voltage_v):
+            raise SimulationError(f"node voltage became non-finite at t={t}")
+        lane.observe(t + dt, capacitor.voltage_v)
+        t += dt
+    return lane.finish(step, t, watch.elapsed_s())
 
 
 def _run_fig8_once(
+    variant: str,
     system: EnergyHarvestingSoC,
     tracker: DischargeTimeMppTracker,
-    config: SimulationConfig,
+    time_step_s: float,
     before: float,
     after: float,
     dim_time_s: float,
@@ -140,11 +161,16 @@ def _run_fig8_once(
         regulator=system.regulator("sc"),
         controller=controller,
         comparators=system.new_comparator_bank(),
-        config=config,
+        config=SimulationConfig(
+            time_step_s=time_step_s, record_every=4, stop_on_brownout=False
+        ),
     )
     trace = step_trace(before, after, dim_time_s, duration_s)
     watch = Stopwatch()
-    result = simulator.run(trace)
+    if variant == "reference":
+        result = run_reference(simulator, trace)
+    else:
+        result = simulator.run(trace)
     return watch.elapsed_s(), result
 
 
@@ -155,20 +181,9 @@ def results_bit_identical(a: SimulationResult, b: SimulationResult) -> bool:
     harness in ``tests/fleet/`` apply the same definition of
     "bit-identical" to fleet-vs-scalar pairs.
     """
-    arrays = (
-        "time_s",
-        "node_voltage_v",
-        "processor_voltage_v",
-        "frequency_hz",
-        "harvest_power_w",
-        "processor_power_w",
-        "draw_power_w",
-        "irradiance",
-        "mode",
-    )
     if any(
         not np.array_equal(getattr(a, name), getattr(b, name))
-        for name in arrays
+        for name in Lane.RECORDS
     ):
         return False
     return (
@@ -189,12 +204,11 @@ def run_hotpath_benchmark(
     time_step_s: float = 5e-6,
     smoke: bool = False,
 ) -> HotpathReport:
-    """Benchmark the three engine configurations on the Fig. 8 workload.
+    """Benchmark both variants on the Fig. 8 workload.
 
     ``smoke=True`` shrinks the run for CI gates (shorter trace, fewer
-    rounds): the correctness claims (bit-identity, fast_pv deviation)
-    are still measured on real runs, only the wall-clock numbers lose
-    statistical weight.
+    rounds): bit-identity is still measured on real runs, only the
+    wall-clock numbers lose statistical weight.
     """
     if rounds < 1:
         raise ModelParameterError(f"rounds must be >= 1, got {rounds}")
@@ -210,17 +224,16 @@ def run_hotpath_benchmark(
     results: Dict[str, SimulationResult] = {}
     timings = []
     for variant in VARIANTS:
-        config = _variant_config(variant, time_step_s)
-        # Untimed warm-up: builds the MPP LUT / PV surface caches and
-        # warms allocator + branch caches, like the parallel bench.
-        _run_fig8_once(
-            system, tracker, config, before, after, dim_time_s, duration_s
+        # Untimed warm-up: builds the MPP LUT caches and warms
+        # allocator + branch caches, like the parallel bench.
+        workload = (
+            variant, system, tracker, time_step_s, before, after,
+            dim_time_s, duration_s,
         )
+        _run_fig8_once(*workload)
         best_wall_s = float("inf")
         for _ in range(rounds):
-            wall_s, result = _run_fig8_once(
-                system, tracker, config, before, after, dim_time_s, duration_s
-            )
+            wall_s, result = _run_fig8_once(*workload)
             best_wall_s = min(best_wall_s, wall_s)
             results[variant] = result
         timings.append(
@@ -234,8 +247,6 @@ def run_hotpath_benchmark(
         )
 
     by_name = {timing.variant: timing for timing in timings}
-    reference, default = results["reference"], results["default"]
-    fast = results["fast_pv"]
     return HotpathReport(
         workload="fig8_mppt",
         time_step_s=time_step_s,
@@ -246,16 +257,9 @@ def run_hotpath_benchmark(
         speedup_default=(
             by_name["default"].steps_per_s / by_name["reference"].steps_per_s
         ),
-        speedup_fast_pv=(
-            by_name["fast_pv"].steps_per_s / by_name["reference"].steps_per_s
-        ),
         target_speedup=TARGET_SPEEDUP,
-        default_bit_identical=results_bit_identical(reference, default),
-        fast_pv_max_node_voltage_error_v=float(
-            np.max(np.abs(reference.node_voltage_v - fast.node_voltage_v))
-        ),
-        fast_pv_max_harvest_power_error_w=float(
-            np.max(np.abs(reference.harvest_power_w - fast.harvest_power_w))
+        default_bit_identical=results_bit_identical(
+            results["reference"], results["default"]
         ),
     )
 

@@ -14,13 +14,19 @@ The engine is deliberately policy-free: everything interesting happens
 in the :class:`~repro.sim.dvfs.DvfsController` plugged into it, which
 is exactly how the paper's chip splits hardware (fixed) from the energy
 management scheme (the contribution).
+
+The per-step body lives on :class:`Lane`, the loop state of one node.
+:class:`TransientSimulator` drives one lane; the batched
+:class:`repro.fleet.FleetSimulator` drives the same class for the lanes
+it cannot vectorize, so the step semantics are written once.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +58,8 @@ _DECISION_CACHE_MAX = 65_536
 
 #: Type of the per-run decision memo shared with the fleet engine.
 DecisionCache = Optional[Dict[Tuple[float, float], Tuple[float, float]]]
+
+_MODE_CODES = SimulationResult.MODE_CODES
 
 
 def clamped_frequency_and_power(
@@ -125,18 +133,20 @@ def resolve_decision(
     return (v_out, f, p_proc, p_draw, "regulated")
 
 
-def _pv_eval(
-    method: "Callable[[Any, float], Any]",
-    voltage: float,
-    irradiance: float,
-    as_array: bool,
-) -> float:
-    """``method(voltage, irradiance)`` as a float.  ``as_array`` solves a
-    one-element array, the pre-optimization loop's call shape (a scalar
-    voltage takes the ``current_scalar`` fast path)."""
-    if as_array:
-        return float(method(np.array([voltage]), irradiance)[0])
-    return float(method(voltage, irradiance))
+def step_irradiance(
+    trace: IrradianceTrace, time_step_s: float, steps: int
+) -> "np.ndarray | None":
+    """The run's per-step irradiance in one vectorised sweep.
+
+    Piecewise traces are pure interpolation, so the samples are
+    bit-identical to per-step ``trace(t)`` calls (see
+    :meth:`IrradianceTrace.step_samples`).  ``None`` when the trace has
+    no sampler or the run is too long to hold them.
+    """
+    if steps + 1 > _IRR_PRECOMPUTE_MAX_SAMPLES:
+        return None
+    sampler = getattr(trace, "step_samples", None)
+    return sampler(time_step_s, steps) if sampler is not None else None
 
 
 @dataclass(frozen=True)
@@ -157,20 +167,6 @@ class SimulationConfig:
       notified through :class:`~repro.sim.dvfs.ControllerView`, and the
       run continues.  Downtime and brownout counts are accounted in the
       result.
-
-    PV solver selection (see ``docs/performance.md``):
-
-    * default: the scalar Newton fast path -- bit-identical to the
-      historical array solver, one solve per step.
-    * ``fast_pv=True``: opt-in pre-characterized
-      :class:`~repro.perf.surface.PvSurface` bilinear lookup --
-      approximate within a documented tolerance, never bit-exact, so
-      it is off by default.
-    * ``pv_reference=True``: the pre-optimization reference path (array
-      solves, duplicate power solve, per-step scalar trace lookup, no
-      decision memoization).  Exists so benchmarks can measure the fast
-      path against the original engine honestly; results are
-      bit-identical to the default path, just slower.
     """
 
     time_step_s: float = 10e-6
@@ -180,8 +176,6 @@ class SimulationConfig:
     recover_from_brownout: bool = False
     recovery_voltage_v: float = 1.0
     max_steps: int = 20_000_000
-    fast_pv: bool = False
-    pv_reference: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.time_step_s < np.inf):
@@ -196,9 +190,9 @@ class SimulationConfig:
             raise ModelParameterError(
                 f"max_steps must be >= 1, got {self.max_steps}"
             )
-        if self.recovery_voltage_v <= 0.0:
+        if not (0.0 < self.recovery_voltage_v < np.inf):
             raise ModelParameterError(
-                f"recovery voltage must be positive, got "
+                f"recovery voltage must be finite and positive, got "
                 f"{self.recovery_voltage_v}"
             )
         if self.recover_from_brownout and self.stop_on_brownout:
@@ -206,11 +200,379 @@ class SimulationConfig:
                 "recover_from_brownout requires stop_on_brownout=False "
                 "(a run cannot both terminate and recover on brownout)"
             )
-        if self.fast_pv and self.pv_reference:
+
+    def steps_for(self, duration_s: float) -> int:
+        """Number of steps after step 0 in a run of ``duration_s``."""
+        if not (0.0 < duration_s < np.inf):
             raise ModelParameterError(
-                "fast_pv and pv_reference are mutually exclusive "
-                "(the reference path exists to benchmark against)"
+                f"duration must be finite and positive, got {duration_s}"
             )
+        steps = np.ceil(duration_s / self.time_step_s)
+        if steps > self.max_steps:
+            raise SimulationError(
+                f"{steps:.0f} steps exceed max_steps={self.max_steps}; "
+                "raise time_step_s or max_steps"
+            )
+        return int(steps)
+
+
+def record_arrays(shape: "int | Tuple[int, int]") -> "Tuple[np.ndarray, ...]":
+    """Empty record buffers in :data:`Lane.RECORDS` order."""
+    return tuple(np.empty(shape) for _ in range(8)) + (
+        np.empty(shape, dtype=np.int8),
+    )
+
+
+class Lane:
+    """One node's loop state and per-step body.
+
+    Both engines advance a node through this class, so the step
+    semantics exist once: :class:`TransientSimulator` drives one lane,
+    :class:`repro.fleet.FleetSimulator` drives its scalar-fallback lanes
+    through :meth:`step` and syncs its vectorized lanes into theirs.
+    The caller owns the physics around the step: it solves the PV
+    current, hands the step the harvest power, and applies
+    ``i_pv - i_draw`` to the node.
+
+    ``node`` is anything carrying the loop's substrates as attributes
+    (``controller``, ``processor``, ``regulator``, ``comparators``,
+    ``workload``, ``transitions``, ``telemetry``): a
+    :class:`TransientSimulator` or a fleet node.  ``cache`` is the
+    decision memo (``None`` disables it); ``records`` are the nine
+    record buffers in :data:`RECORDS` order, allocated when omitted.
+    """
+
+    #: Record buffers, named as the :class:`SimulationResult` arrays.
+    RECORDS: Tuple[str, ...] = (
+        "time_s",
+        "node_voltage_v",
+        "processor_voltage_v",
+        "frequency_hz",
+        "harvest_power_w",
+        "processor_power_w",
+        "draw_power_w",
+        "irradiance",
+        "mode",
+    )
+
+    __slots__ = (
+        "controller", "processor", "regulator", "comparators", "transitions",
+        "tel", "config", "steps", "target_cycles", "comparator_power",
+        "cache", "records", "rec_t", "rec_vnode", "rec_vproc", "rec_f",
+        "rec_ppv", "rec_pproc", "rec_pdraw", "rec_irr", "rec_mode",
+        "recorded", "cycles", "prev_v_proc", "prev_mode", "prev_setpoint_v",
+        "lockout_until", "transition_count", "pending_events", "completed",
+        "completion_time", "browned_out", "brownout_time", "brownout_count",
+        "downtime_s", "recovering", "in_brownout", "node_collapsed",
+        "telemetry_mode", "outage_started_s", "events", "end_step",
+        "end_time_s",
+    )
+
+    def __init__(
+        self,
+        node: Any,
+        config: SimulationConfig,
+        steps: int,
+        cache: DecisionCache,
+        records: "Tuple[np.ndarray, ...] | None" = None,
+    ) -> None:
+        self.controller: DvfsController = node.controller
+        self.processor: ProcessorModel = node.processor
+        self.regulator: Regulator = node.regulator
+        self.comparators: "ComparatorBank | None" = node.comparators
+        self.transitions: "DvfsTransitionModel | None" = node.transitions
+        tel = node.telemetry
+        self.tel: Telemetry = tel if tel is not None else NULL_TELEMETRY
+        self.config = config
+        self.steps = steps
+        workload = node.workload
+        self.target_cycles = workload.cycles if workload is not None else None
+        self.comparator_power = (
+            self.comparators.total_power_w if self.comparators is not None
+            else 0.0
+        )
+        self.cache = cache
+        if records is None:
+            records = record_arrays(steps // config.record_every + 1)
+        self.records = records
+        (
+            self.rec_t, self.rec_vnode, self.rec_vproc, self.rec_f,
+            self.rec_ppv, self.rec_pproc, self.rec_pdraw, self.rec_irr,
+            self.rec_mode,
+        ) = records
+        self.recorded = 0
+
+        self.cycles = 0.0
+        self.prev_v_proc = 0.0
+        self.prev_mode: "str | None" = None
+        self.prev_setpoint_v = 0.0
+        self.lockout_until = -1.0
+        self.transition_count = 0
+        self.pending_events: tuple = ()
+        self.completed = False
+        self.completion_time: "float | None" = None
+        self.browned_out = False
+        self.brownout_time: "float | None" = None
+        self.brownout_count = 0
+        self.downtime_s = 0.0
+        self.recovering = False
+        self.in_brownout = False
+        self.node_collapsed = False
+        self.telemetry_mode: "str | None" = None
+        self.outage_started_s: "float | None" = None
+        self.events: list = []
+        self.end_step = -1
+        self.end_time_s = float("nan")
+
+        self.tel.begin_span(
+            "engine.run", 0.0, track="engine",
+            dt_s=config.time_step_s, planned_steps=steps,
+        )
+
+    def step(
+        self, step: int, t: float, v_node: float, irr: float, p_pv: float
+    ) -> "float | None":
+        """Advance one step; the current drawn from the node, or
+        ``None`` when the lane ends at this step (its last step, a
+        ``stop_on_brownout`` brownout or ``stop_on_completion``)."""
+        cfg = self.config
+        tel = self.tel
+        dt = cfg.time_step_s
+
+        # Power-good release: the node has recharged past the recovery
+        # threshold, so the load may reconnect this step.
+        recovering = self.recovering
+        if recovering and v_node >= cfg.recovery_voltage_v:
+            recovering = self.recovering = False
+            self.events.append(("recovered", t))
+            tel.event("recovered", t, track="engine", node_v=v_node)
+            outage_started_s = self.outage_started_s
+            if outage_started_s is not None:
+                tel.end_span(t)
+                tel.observe("brownout.outage_s", t - outage_started_s)
+                self.outage_started_s = None
+
+        decision = self.controller.decide(
+            ControllerView(
+                time_s=t,
+                node_voltage_v=v_node,
+                processor_voltage_v=self.prev_v_proc,
+                cycles_done=self.cycles,
+                comparator_events=self.pending_events,
+                recovering=recovering,
+                brownout_count=self.brownout_count,
+            )
+        )
+        v_proc, f, p_proc, p_draw, mode = resolve_decision(
+            self.processor, self.regulator, decision, v_node, self.cache
+        )
+        if recovering:
+            # Load power-gated while the node recharges; whatever the
+            # controller commanded is ignored until power-good.
+            v_proc, f, p_proc, p_draw, mode = (0.0, 0.0, 0.0, 0.0, "halt")
+        self.prev_v_proc = v_proc
+
+        # DVFS transition accounting: settle lockout + rail recharge.
+        transitions = self.transitions
+        if transitions is not None:
+            prev_setpoint_v = self.prev_setpoint_v
+            if transitions.is_transition(
+                self.prev_mode, prev_setpoint_v, mode, v_proc
+            ):
+                self.transition_count += 1
+                tel.count("dvfs.transitions")
+                tel.event(
+                    "dvfs.transition", t, track="engine",
+                    previous=self.prev_mode or "", new=mode,
+                    setpoint_v=v_proc,
+                )
+                self.lockout_until = t + transitions.settle_time_s
+                recharge = transitions.transition_energy_j(
+                    prev_setpoint_v, v_proc
+                )
+                if recharge > 0.0:
+                    p_draw += recharge / dt
+            if mode != "halt":
+                self.prev_mode = mode
+                self.prev_setpoint_v = v_proc
+            if t < self.lockout_until and f > 0.0:
+                # Clock gated while the supply settles.
+                processor = self.processor
+                f = 0.0
+                p_proc = (
+                    float(processor.leakage.power(v_proc))
+                    if v_proc >= processor.min_operating_v
+                    else 0.0
+                )
+                if mode == "regulated":
+                    try:
+                        p_draw = max(
+                            p_draw,
+                            self.regulator.input_power(
+                                v_proc, p_proc, v_in=v_node
+                            ),
+                        )
+                    except OperatingRangeError:
+                        pass
+                elif mode == "bypass":
+                    p_draw = p_proc
+
+        # Converter-path mode switch (regulated <-> bypass <-> halt).
+        # Checked before the brownout block so the final switch into
+        # halt is still counted when stop_on_brownout ends the lane.
+        telemetry_mode = self.telemetry_mode
+        if mode != telemetry_mode:
+            if telemetry_mode is not None:
+                tel.count("regulator.mode_switches")
+                tel.event(
+                    "regulator.mode_switch", t, track="engine",
+                    previous=telemetry_mode, new=mode, node_v=v_node,
+                )
+            self.telemetry_mode = mode
+
+        # Brownout: the controller asked for work the supply cannot run.
+        stalled = (
+            decision.frequency_hz > 0.0
+            and f == 0.0
+            and mode == "halt"
+            and decision.mode != "halt"
+            and not self.completed
+            and not recovering
+        )
+        last = step == self.steps
+        if stalled and not self.in_brownout:
+            self.in_brownout = True
+            self.browned_out = True
+            self.brownout_count += 1
+            if self.brownout_time is None:
+                self.brownout_time = t
+            self.events.append(("brownout", t))
+            tel.count("brownout.count")
+            tel.event("brownout", t, track="engine", node_v=v_node)
+            if cfg.stop_on_brownout:
+                # The lane ends here, recording the stall with no draw.
+                last = True
+                f, p_proc, p_draw = (0.0, 0.0, 0.0)
+            elif cfg.recover_from_brownout:
+                # Enter halt-and-recharge: power-gate the load until the
+                # node climbs back to the recovery threshold.
+                recovering = self.recovering = True
+                if self.outage_started_s is None:
+                    tel.begin_span("brownout.outage", t, track="engine")
+                    self.outage_started_s = t
+                v_proc, f, p_proc, p_draw, mode = (0.0, 0.0, 0.0, 0.0, "halt")
+                self.prev_v_proc = 0.0
+        elif f > 0.0:
+            # Work resumed: the next stall is a fresh brownout.
+            self.in_brownout = False
+
+        if step % cfg.record_every == 0:
+            n = self.recorded
+            self.rec_t[n] = t
+            self.rec_vnode[n] = v_node
+            self.rec_vproc[n] = v_proc
+            self.rec_f[n] = f
+            self.rec_ppv[n] = p_pv
+            self.rec_pproc[n] = p_proc
+            self.rec_pdraw[n] = p_draw
+            self.rec_irr[n] = irr
+            self.rec_mode[n] = _MODE_CODES[mode]
+            self.recorded = n + 1
+
+        if last:
+            return None
+
+        # Cycle bookkeeping and completion detection.
+        cycles = self.cycles
+        new_cycles = cycles + f * dt
+        target_cycles = self.target_cycles
+        if (
+            target_cycles is not None
+            and not self.completed
+            and new_cycles >= target_cycles
+        ):
+            self.completed = True
+            # Linear interpolation of the crossing instant.
+            if f > 0.0:
+                completion_time = t + (target_cycles - cycles) / f
+            else:
+                completion_time = t
+            self.completion_time = completion_time
+            self.events.append(("completed", completion_time))
+            tel.event(
+                "workload.completed", completion_time, track="engine",
+                cycles=float(target_cycles),
+            )
+            if cfg.stop_on_completion:
+                self.cycles = new_cycles
+                return None
+        self.cycles = new_cycles
+
+        # Downtime: the load is power-gated because of a brownout
+        # (either recharging in recovery mode or stalled dark).
+        if recovering or (self.in_brownout and f == 0.0):
+            self.downtime_s += dt
+
+        # Converter + comparators draw from the node.
+        demand_w = p_draw + self.comparator_power
+        if v_node > 1e-6:
+            self.node_collapsed = False
+            return demand_w / v_node
+        # Fully collapsed node: a 0 V supply cannot source the converter
+        # or the monitor electronics, so the demand is explicitly dropped
+        # (everything downstream is dead) and the collapse is recorded
+        # instead of the power silently vanishing from the energy
+        # balance.
+        if demand_w > 0.0 and not self.node_collapsed:
+            self.node_collapsed = True
+            self.events.append(("node_collapse", t))
+            tel.event("node.collapse", t, track="engine")
+        return 0.0
+
+    def observe(self, t: float, v: float) -> tuple:
+        """Comparator events at node voltage ``v``; they feed the next
+        step's controller view."""
+        bank = self.comparators
+        if bank is not None:
+            self.pending_events = tuple(bank.observe(t, v))
+        return self.pending_events
+
+    def finish(self, step: int, t: float, wall_s: float) -> SimulationResult:
+        """End the lane at ``step``/``t``: the after-loop telemetry and
+        the recorded result."""
+        tel = self.tel
+        if self.outage_started_s is not None:
+            # Run ended while still browned out: close the span at the
+            # final simulated time so the trace stays balanced.
+            tel.end_span(t)
+            tel.observe("brownout.outage_s", t - self.outage_started_s)
+        tel.end_span(t, steps=float(step + 1))
+        tel.count("engine.steps", float(step + 1))
+        tel.gauge("brownout.downtime_s", self.downtime_s)
+        tel.gauge("engine.final_cycles", float(self.cycles))
+        tel.profile("engine.run_wall_s", wall_s)
+        self.end_step = step
+        self.end_time_s = t
+
+        n = self.recorded
+        result = SimulationResult(
+            **{
+                name: buffer[:n].copy()
+                for name, buffer in zip(self.RECORDS, self.records)
+            },
+            completed=self.completed,
+            completion_time_s=self.completion_time,
+            browned_out=self.browned_out,
+            brownout_time_s=self.brownout_time,
+            brownout_count=self.brownout_count,
+            downtime_s=self.downtime_s,
+            final_cycles=self.cycles,
+            events=self.events,
+            metrics=tel.result_metrics(),
+        )
+        if self.transitions is not None:
+            result.events.append(("transitions", float(self.transition_count)))
+        return result
 
 
 class TransientSimulator:
@@ -265,32 +627,6 @@ class TransientSimulator:
         self.transitions = transitions
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
-    # -- one actuation resolution -------------------------------------------------
-
-    def _clamped_frequency_and_power(
-        self,
-        v_eval: float,
-        commanded_hz: float,
-        cache: "dict[tuple[float, float], tuple[float, float]] | None",
-    ) -> "tuple[float, float]":
-        """Delegates to :func:`clamped_frequency_and_power`."""
-        return clamped_frequency_and_power(
-            self.processor, v_eval, commanded_hz, cache
-        )
-
-    def _resolve_decision(
-        self,
-        decision: ControlDecision,
-        v_node: float,
-        cache: "dict[tuple[float, float], tuple[float, float]] | None" = None,
-    ) -> "tuple[float, float, float, float, str]":
-        """Delegates to the shared :func:`resolve_decision`."""
-        return resolve_decision(
-            self.processor, self.regulator, decision, v_node, cache
-        )
-
-    # -- the run -------------------------------------------------------------------
-
     def run(self, trace: IrradianceTrace, duration_s: "float | None" = None) -> SimulationResult:
         """Simulate over the trace; returns the recorded result.
 
@@ -300,367 +636,43 @@ class TransientSimulator:
         """
         cfg = self.config
         dt = cfg.time_step_s
-        if duration_s is None:
-            duration_s = trace.duration_s
-        if duration_s <= 0.0:
-            raise ModelParameterError(f"duration must be positive, got {duration_s}")
-        steps = int(np.ceil(duration_s / dt))
-        if steps > cfg.max_steps:
-            raise SimulationError(
-                f"{steps} steps exceed max_steps={cfg.max_steps}; "
-                "raise time_step_s or max_steps"
-            )
-
+        steps = cfg.steps_for(
+            trace.duration_s if duration_s is None else duration_s
+        )
         self.controller.reset()
         if self.comparators is not None:
             self.comparators.reset()
 
-        # -- hot-path strategy selection ------------------------------
-        # Default: one cold-started scalar Newton solve per step --
-        # bit-identical to the historical two array solves.  fast_pv
-        # swaps in the pre-characterized bilinear surface (approximate,
-        # opt-in).  pv_reference restores the pre-optimization loop
-        # exactly (array solves, duplicated power solve, per-step trace
-        # interpolation, no memoization) for honest benchmarking.
+        # One cold-started scalar Newton solve per step, harvest power
+        # derived from it; harvesters without the scalar solver pay a
+        # power and a current call.
         cell = self.cell
-        node_capacitor = self.node_capacitor
-        use_reference = cfg.pv_reference
-        scalar_solve = getattr(cell, "current_scalar", None)
-        pv_current: "Callable[[float, float], float] | None" = None
-        if not use_reference:
-            if cfg.fast_pv:
-                from repro.perf.surface import surface_for_cell
+        solve = getattr(cell, "current_scalar", None)
+        samples = step_irradiance(trace, dt, steps)
+        irr_samples = samples.tolist() if samples is not None else None
+        capacitor = self.node_capacitor
 
-                pv_current = surface_for_cell(cell).current
-            elif scalar_solve is not None:
-                pv_current = scalar_solve
-
-        decision_cache: (
-            "dict[tuple[float, float], tuple[float, float]] | None"
-        ) = None if use_reference else {}
-
-        # Piecewise traces are pure interpolation, so the whole run's
-        # per-step irradiance can be evaluated up front in one
-        # vectorised sweep (bit-identical to per-step calls -- see
-        # IrradianceTrace.step_samples).
-        irr_samples: "list[float] | None" = None
-        if not use_reference and steps + 1 <= _IRR_PRECOMPUTE_MAX_SAMPLES:
-            sampler = getattr(trace, "step_samples", None)
-            if sampler is not None:
-                irr_samples = sampler(dt, steps).tolist()
-
-        # Telemetry: sim-time tracing plus wall-clock profiling.  The
-        # default sink is a shared no-op, so the per-step cost when
-        # disabled is one string comparison (the mode-switch check).
-        tel = self.telemetry
         wall_started = time.perf_counter()
-        tel.begin_span(
-            "engine.run", 0.0, track="engine",
-            dt_s=dt, planned_steps=steps,
-        )
-        telemetry_mode: "str | None" = None
-        outage_started_s: "float | None" = None
-
-        record_count = steps // cfg.record_every + 1
-        rec_t = np.empty(record_count)
-        rec_vnode = np.empty(record_count)
-        rec_vproc = np.empty(record_count)
-        rec_f = np.empty(record_count)
-        rec_ppv = np.empty(record_count)
-        rec_pproc = np.empty(record_count)
-        rec_pdraw = np.empty(record_count)
-        rec_irr = np.empty(record_count)
-        rec_mode = np.empty(record_count, dtype=np.int8)
-
-        mode_codes = SimulationResult.MODE_CODES
-        comparator_power = (
-            self.comparators.total_power_w if self.comparators is not None else 0.0
-        )
-        target_cycles = self.workload.cycles if self.workload is not None else None
-
-        cycles = 0.0
-        prev_v_proc = 0.0
-        prev_mode: "str | None" = None
-        prev_setpoint_v = 0.0
-        lockout_until = -1.0
-        transition_count = 0
-        pending_events: "tuple" = ()
-        completed = False
-        completion_time = None
-        browned_out = False
-        brownout_time = None
-        brownout_count = 0
-        downtime_s = 0.0
-        recovering = False
-        in_brownout = False
-        node_collapsed = False
-        events: list = []
-        recorded = 0
-
+        lane = Lane(self, cfg, steps, {})
         t = 0.0
         for step in range(steps + 1):
-            v_node = node_capacitor.voltage_v
+            v_node = capacitor.voltage_v
             irr = irr_samples[step] if irr_samples is not None else trace(t)
-
-            # Single PV solve per step: current once, power derived
-            # (power() is V * I(V), so p_pv is bit-identical to the old
-            # second solve).  The reference path recomputes below with
-            # the original array calls.
-            if pv_current is not None:
-                i_pv = pv_current(v_node, irr)
-                p_pv = v_node * i_pv
-            else:
-                i_pv = 0.0
-                p_pv = 0.0
-
-            # Power-good release: the node has recharged past the
-            # recovery threshold, so the load may reconnect this step.
-            if recovering and v_node >= cfg.recovery_voltage_v:
-                recovering = False
-                events.append(("recovered", t))
-                tel.event("recovered", t, track="engine", node_v=v_node)
-                if outage_started_s is not None:
-                    tel.end_span(t)
-                    tel.observe("brownout.outage_s", t - outage_started_s)
-                    outage_started_s = None
-
-            view = ControllerView(
-                time_s=t,
-                node_voltage_v=v_node,
-                processor_voltage_v=prev_v_proc,
-                cycles_done=cycles,
-                comparator_events=pending_events,
-                recovering=recovering,
-                brownout_count=brownout_count,
-            )
-            decision = self.controller.decide(view)
-            v_proc, f, p_proc, p_draw, mode = self._resolve_decision(
-                decision, v_node, decision_cache
-            )
-            if recovering:
-                # Load power-gated while the node recharges; whatever
-                # the controller commanded is ignored until power-good.
-                v_proc, f, p_proc, p_draw, mode = (0.0, 0.0, 0.0, 0.0, "halt")
-            prev_v_proc = v_proc
-
-            # DVFS transition accounting: settle lockout + rail recharge.
-            if self.transitions is not None:
-                if self.transitions.is_transition(
-                    prev_mode, prev_setpoint_v, mode, v_proc
-                ):
-                    transition_count += 1
-                    tel.count("dvfs.transitions")
-                    tel.event(
-                        "dvfs.transition", t, track="engine",
-                        previous=prev_mode or "", new=mode,
-                        setpoint_v=v_proc,
-                    )
-                    lockout_until = t + self.transitions.settle_time_s
-                    recharge = self.transitions.transition_energy_j(
-                        prev_setpoint_v, v_proc
-                    )
-                    if recharge > 0.0:
-                        p_draw += recharge / dt
-                if mode != "halt":
-                    prev_mode = mode
-                    prev_setpoint_v = v_proc
-                if t < lockout_until and f > 0.0:
-                    # Clock gated while the supply settles.
-                    f = 0.0
-                    p_proc = (
-                        float(self.processor.leakage.power(v_proc))
-                        if v_proc >= self.processor.min_operating_v
-                        else 0.0
-                    )
-                    if mode == "regulated":
-                        try:
-                            p_draw = max(
-                                p_draw,
-                                self.regulator.input_power(
-                                    v_proc, p_proc, v_in=v_node
-                                ),
-                            )
-                        except OperatingRangeError:
-                            pass
-                    elif mode == "bypass":
-                        p_draw = p_proc
-
-            # Converter-path mode switch (regulated <-> bypass <-> halt).
-            # Checked before the brownout block so the final switch into
-            # halt is still counted when stop_on_brownout breaks the loop.
-            if mode != telemetry_mode:
-                if telemetry_mode is not None:
-                    tel.count("regulator.mode_switches")
-                    tel.event(
-                        "regulator.mode_switch", t, track="engine",
-                        previous=telemetry_mode, new=mode, node_v=v_node,
-                    )
-                telemetry_mode = mode
-
-            # Brownout: the controller asked for work the supply cannot run.
-            stalled = (
-                decision.frequency_hz > 0.0
-                and f == 0.0
-                and mode == "halt"
-                and decision.mode != "halt"
-                and not completed
-                and not recovering
-            )
-            if stalled and not in_brownout:
-                in_brownout = True
-                browned_out = True
-                brownout_count += 1
-                if brownout_time is None:
-                    brownout_time = t
-                events.append(("brownout", t))
-                tel.count("brownout.count")
-                tel.event("brownout", t, track="engine", node_v=v_node)
-                if cfg.stop_on_brownout:
-                    if step % cfg.record_every == 0:
-                        rec_t[recorded] = t
-                        rec_vnode[recorded] = v_node
-                        rec_vproc[recorded] = v_proc
-                        rec_f[recorded] = 0.0
-                        # Reuse the step's already-solved PV power; the
-                        # reference path keeps the historical duplicate
-                        # solve it is benchmarked against.
-                        rec_ppv[recorded] = (
-                            p_pv
-                            if pv_current is not None
-                            else _pv_eval(cell.power, v_node, irr, use_reference)
-                        )
-                        rec_pproc[recorded] = 0.0
-                        rec_pdraw[recorded] = 0.0
-                        rec_irr[recorded] = irr
-                        rec_mode[recorded] = mode_codes["halt"]
-                        recorded += 1
+            if solve is not None:
+                i_pv = solve(v_node, irr)
+                i_draw = lane.step(step, t, v_node, irr, v_node * i_pv)
+                if i_draw is None:
                     break
-                if cfg.recover_from_brownout:
-                    # Enter halt-and-recharge: power-gate the load until
-                    # the node climbs back to the recovery threshold.
-                    recovering = True
-                    if outage_started_s is None:
-                        tel.begin_span("brownout.outage", t, track="engine")
-                        outage_started_s = t
-                    v_proc, f, p_proc, p_draw, mode = (
-                        0.0, 0.0, 0.0, 0.0, "halt",
-                    )
-                    prev_v_proc = 0.0
-            elif f > 0.0:
-                # Work resumed: the next stall is a fresh brownout.
-                in_brownout = False
-
-            if pv_current is None:
-                p_pv = _pv_eval(cell.power, v_node, irr, use_reference)
-            if step % cfg.record_every == 0:
-                rec_t[recorded] = t
-                rec_vnode[recorded] = v_node
-                rec_vproc[recorded] = v_proc
-                rec_f[recorded] = f
-                rec_ppv[recorded] = p_pv
-                rec_pproc[recorded] = p_proc
-                rec_pdraw[recorded] = p_draw
-                rec_irr[recorded] = irr
-                rec_mode[recorded] = mode_codes[mode]
-                recorded += 1
-
-            if step == steps:
-                break
-
-            # Cycle bookkeeping and completion detection.
-            new_cycles = cycles + f * dt
-            if (
-                target_cycles is not None
-                and not completed
-                and new_cycles >= target_cycles
-            ):
-                completed = True
-                # Linear interpolation of the crossing instant.
-                if f > 0.0:
-                    completion_time = t + (target_cycles - cycles) / f
-                else:
-                    completion_time = t
-                events.append(("completed", completion_time))
-                tel.event(
-                    "workload.completed", completion_time, track="engine",
-                    cycles=float(target_cycles),
+            else:
+                i_draw = lane.step(
+                    step, t, v_node, irr, float(cell.power(v_node, irr))
                 )
-                if cfg.stop_on_completion:
-                    cycles = new_cycles
+                if i_draw is None:
                     break
-            cycles = new_cycles
-
-            # Downtime: the load is power-gated because of a brownout
-            # (either recharging in recovery mode or stalled dark).
-            if recovering or (in_brownout and f == 0.0):
-                downtime_s += dt
-
-            # Node update: PV source in, converter + comparators out.
-            if pv_current is None:
-                i_pv = _pv_eval(cell.current, v_node, irr, use_reference)
-            demand_w = p_draw + comparator_power
-            if v_node > 1e-6:
-                i_draw = demand_w / v_node
-                node_collapsed = False
-            else:
-                # Fully collapsed node: a 0 V supply cannot source the
-                # converter or the monitor electronics, so the demand is
-                # explicitly dropped (everything downstream is dead) and
-                # the collapse is recorded instead of the power
-                # silently vanishing from the energy balance.
-                i_draw = 0.0
-                if demand_w > 0.0 and not node_collapsed:
-                    node_collapsed = True
-                    events.append(("node_collapse", t))
-                    tel.event("node.collapse", t, track="engine")
-            node_capacitor.apply_current(i_pv - i_draw, dt)
-            if not np.isfinite(node_capacitor.voltage_v):
+                i_pv = float(cell.current(v_node, irr))
+            capacitor.apply_current(i_pv - i_draw, dt)
+            if not math.isfinite(capacitor.voltage_v):
                 raise SimulationError(f"node voltage became non-finite at t={t}")
-
-            # Comparator observation feeds the next step's view.
-            if self.comparators is not None:
-                pending_events = tuple(
-                    self.comparators.observe(t + dt, node_capacitor.voltage_v)
-                )
-            else:
-                pending_events = ()
-
+            lane.observe(t + dt, capacitor.voltage_v)
             t += dt
-
-        if outage_started_s is not None:
-            # Run ended while still browned out: close the span at the
-            # final simulated time so the trace stays balanced.
-            tel.end_span(t)
-            tel.observe("brownout.outage_s", t - outage_started_s)
-        tel.end_span(t, steps=float(step + 1))
-        tel.count("engine.steps", float(step + 1))
-        tel.gauge("brownout.downtime_s", downtime_s)
-        tel.gauge("engine.final_cycles", float(cycles))
-        tel.profile("engine.run_wall_s", time.perf_counter() - wall_started)
-
-        result = SimulationResult(
-            time_s=rec_t[:recorded].copy(),
-            node_voltage_v=rec_vnode[:recorded].copy(),
-            processor_voltage_v=rec_vproc[:recorded].copy(),
-            frequency_hz=rec_f[:recorded].copy(),
-            harvest_power_w=rec_ppv[:recorded].copy(),
-            processor_power_w=rec_pproc[:recorded].copy(),
-            draw_power_w=rec_pdraw[:recorded].copy(),
-            irradiance=rec_irr[:recorded].copy(),
-            mode=rec_mode[:recorded].copy(),
-            completed=completed,
-            completion_time_s=completion_time,
-            browned_out=browned_out,
-            brownout_time_s=brownout_time,
-            brownout_count=brownout_count,
-            downtime_s=downtime_s,
-            final_cycles=cycles,
-            events=events,
-            metrics=tel.result_metrics(),
-        )
-        result.events.extend(
-            [("transitions", float(transition_count))]
-            if self.transitions is not None
-            else []
-        )
-        return result
+        return lane.finish(step, t, time.perf_counter() - wall_started)

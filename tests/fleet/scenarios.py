@@ -35,6 +35,7 @@ from repro.faults.models import (
     faulted_trace,
 )
 from repro.fleet.engine import FleetNode, FleetSimulator
+from repro.harvesters import wearable_teg
 from repro.parallel.cache import characterized_system
 from repro.perf.benchmark import results_bit_identical
 from repro.planner.adapter import PlanController, RecedingHorizonController
@@ -389,6 +390,18 @@ RECOVERY_SCENARIO = Scenario(
     cloud_trace(1.0, 0.01, 2e-3, 5e-3, 20e-3, edge_s=0.5e-3),
     _fig6_fixed_parts,
 )
+
+
+def _teg_parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
+    parts = _fig6_fixed_parts(telemetry)
+    parts["cell"] = wearable_teg()
+    return parts
+
+
+#: A thermoelectric lane: the harvester has no ``current_scalar``, so
+#: the fleet cannot batch its PV solve and every lane of its batch
+#: takes the per-lane power/current path.
+TEG_SCENARIO = Scenario("teg_fixed", MATRIX_CONFIG, MATRIX_TRACE, _teg_parts)
 
 ALL_SCENARIOS: "Tuple[Scenario, ...]" = (
     MATRIX_SCENARIOS + STOP_SCENARIOS + (RECOVERY_SCENARIO,)

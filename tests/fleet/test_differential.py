@@ -24,6 +24,7 @@ from repro.telemetry.session import TelemetrySession
 from tests.fleet.scenarios import (
     ALL_SCENARIOS,
     MATRIX_SCENARIOS,
+    TEG_SCENARIO,
     assert_results_identical,
     campaign_scenario,
     run_batch,
@@ -70,6 +71,24 @@ def test_mixed_scenario_batch_is_lane_independent() -> None:
     """
     _, batched, _ = run_batch(list(MATRIX_SCENARIOS), with_metrics=True)
     for scenario, result in zip(MATRIX_SCENARIOS, batched):
+        scalar = run_scalar(scenario, telemetry=TelemetrySession())
+        assert_results_identical(scalar, result)
+
+
+@pytest.mark.parametrize(
+    "lanes",
+    [[TEG_SCENARIO], [TEG_SCENARIO, MATRIX_SCENARIOS[0]]],
+    ids=["teg", "teg_and_solar"],
+)
+def test_harvester_without_scalar_solver_matches_scalar(lanes) -> None:
+    """A harvester without ``current_scalar`` leaves the fleet without a
+    batched PV solve: the thermoelectric lane pays a power and a
+    current call per step, a solar lane beside it a per-lane scalar
+    solve, and each matches its scalar run."""
+    simulator, batched, _ = run_batch(lanes, with_metrics=True)
+    assert simulator.control_summary is not None
+    assert simulator.control_summary["fallback"] == len(lanes)
+    for scenario, result in zip(lanes, batched):
         scalar = run_scalar(scenario, telemetry=TelemetrySession())
         assert_results_identical(scalar, result)
 

@@ -1,25 +1,22 @@
-"""Engine hot path: single solve per step, bit-identity, fast_pv envelope.
+"""Engine hot path: single solve per step and bit-identity.
 
-``pv_reference=True`` reruns the pre-optimization loop (array solves,
-duplicated brownout-branch power solve, per-step trace interpolation,
-no memoization), so every test here is a direct before/after
-comparison on real engine runs:
+:func:`repro.perf.benchmark.run_reference` reruns the pre-optimization
+loop (array solves, per-step trace interpolation, no memoization) over
+the engine's own lane step, so every test here is a direct
+before/after comparison on real engine runs:
 
 * the default path must match the reference *bit for bit* -- arrays,
   scalars and events -- including through the stop-on-brownout record
-  branch whose duplicate solve this PR removed;
+  branch, which reuses the step's solved harvest power;
 * the default path must perform exactly one PV solve per step (counted
-  on a wrapped cell), where the reference pays two;
-* ``fast_pv`` must stay inside its documented envelope on the Fig. 8
-  workload.
+  on a wrapped cell), where the reference pays two.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.system import paper_system
-from repro.errors import ModelParameterError
-from repro.perf.benchmark import run_hotpath_benchmark
+from repro.perf.benchmark import run_hotpath_benchmark, run_reference
 from repro.processor.workloads import Workload
 from repro.pv.traces import constant_trace, step_trace
 from repro.sim.dvfs import FixedOperatingPointController
@@ -63,7 +60,10 @@ class CountingCell:
         return self._cell.current_scalar(voltage, irradiance, guess)
 
 
-def _run(system, trace, cell=None, workload=None, capacitor_v=1.2, **flags):
+def _run(
+    system, trace, cell=None, workload=None, capacitor_v=1.2,
+    reference=False, **flags,
+):
     simulator = TransientSimulator(
         cell=cell if cell is not None else system.cell,
         node_capacitor=system.new_node_capacitor(capacitor_v),
@@ -73,7 +73,7 @@ def _run(system, trace, cell=None, workload=None, capacitor_v=1.2, **flags):
         workload=workload,
         config=SimulationConfig(**flags),
     )
-    return simulator.run(trace)
+    return run_reference(simulator, trace) if reference else simulator.run(trace)
 
 
 def _assert_bit_identical(a, b):
@@ -89,28 +89,17 @@ def _assert_bit_identical(a, b):
     assert a.events == b.events
 
 
-class TestConfig:
-    def test_fast_pv_and_reference_are_mutually_exclusive(self):
-        with pytest.raises(ModelParameterError):
-            SimulationConfig(fast_pv=True, pv_reference=True)
-
-    def test_flags_default_off(self):
-        config = SimulationConfig()
-        assert not config.fast_pv
-        assert not config.pv_reference
-
-
 class TestBitIdentity:
     def test_steady_run_matches_reference(self, system):
         trace = constant_trace(1.0, 20e-3)
-        reference = _run(system, trace, pv_reference=True)
+        reference = _run(system, trace, reference=True)
         default = _run(system, trace)
         _assert_bit_identical(reference, default)
 
     def test_dimming_run_matches_reference(self, system):
         trace = step_trace(1.0, 0.2, 5e-3, 30e-3)
         reference = _run(
-            system, trace, stop_on_brownout=False, pv_reference=True
+            system, trace, stop_on_brownout=False, reference=True
         )
         default = _run(system, trace, stop_on_brownout=False)
         _assert_bit_identical(reference, default)
@@ -126,7 +115,7 @@ class TestBitIdentity:
             workload=Workload("t", 10**9),
             capacitor_v=1.1,
             stop_on_brownout=True,
-            pv_reference=True,
+            reference=True,
         )
         default = _run(
             system,
@@ -151,20 +140,14 @@ class TestSolveCounts:
     def test_reference_path_pays_two_solves_per_step(self, system):
         cell = CountingCell(system.cell)
         steps = 200
-        _run(system, constant_trace(1.0, 2e-3), cell=cell, pv_reference=True)
+        _run(system, constant_trace(1.0, 2e-3), cell=cell, reference=True)
         assert cell.calls["power"] == steps + 1
         assert cell.calls["current"] == steps
         assert cell.calls["current_scalar"] == 0
 
 
 class TestFig8Workload:
-    def test_benchmark_smoke_bit_identity_and_fast_pv_envelope(self):
+    def test_benchmark_smoke_bit_identity(self):
         report = run_hotpath_benchmark(rounds=1, smoke=True)
         assert report.default_bit_identical
-        # Documented fast_pv envelope (docs/performance.md): node
-        # trajectories within 1 mV, harvest power within 1 mW of the
-        # exact solver on the Fig. 8 workload (measured values are
-        # orders of magnitude smaller; see BENCH_engine_hotpath.json).
-        assert report.fast_pv_max_node_voltage_error_v < 1e-3
-        assert report.fast_pv_max_harvest_power_error_w < 1e-3
         assert report.speedup_default > 1.0

@@ -14,11 +14,13 @@ import pytest
 from repro.core.operating_point import OperatingPointOptimizer
 from repro.core.system import paper_system
 from repro.errors import ModelParameterError
+from repro.fleet.engine import FleetNode, FleetSimulator
 from repro.fleet.pv import CellParams, batched_current
 from repro.harvesters import wearable_teg
 from repro.pv.cell import kxob22_cell
-from repro.pv.traces import IrradianceTrace
-from repro.sim.engine import SimulationConfig
+from repro.pv.traces import IrradianceTrace, constant_trace
+from repro.sim.dvfs import FixedOperatingPointController
+from repro.sim.engine import SimulationConfig, TransientSimulator
 
 BAD = [float("nan"), float("inf"), -float("inf"), -0.1]
 BAD_IDS = ["nan", "inf", "-inf", "negative"]
@@ -83,6 +85,46 @@ def test_thermoelectric_open_circuit_voltage(value: float) -> None:
 def test_simulation_time_step(value: float) -> None:
     with pytest.raises(ModelParameterError, match="time step"):
         SimulationConfig(time_step_s=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_recovery_voltage(value: float) -> None:
+    with pytest.raises(ModelParameterError, match="recovery voltage"):
+        SimulationConfig(
+            recovery_voltage_v=value,
+            stop_on_brownout=False,
+            recover_from_brownout=True,
+        )
+
+
+def _run_scalar(duration_s: float) -> None:
+    system = paper_system()
+    TransientSimulator(
+        cell=system.cell,
+        node_capacitor=system.new_node_capacitor(1.2),
+        processor=system.processor,
+        regulator=system.regulator("sc"),
+        controller=FixedOperatingPointController(0.8, 400e6),
+    ).run(constant_trace(1.0, 1e-3), duration_s=duration_s)
+
+
+def _run_fleet(duration_s: float) -> None:
+    system = paper_system()
+    node = FleetNode(
+        cell=system.cell,
+        capacitor=system.new_node_capacitor(1.2),
+        processor=system.processor,
+        regulator=system.regulator("sc"),
+        controller=FixedOperatingPointController(0.8, 400e6),
+    )
+    FleetSimulator([node]).run([constant_trace(1.0, 1e-3)], duration_s=duration_s)
+
+
+@pytest.mark.parametrize("engine", [_run_scalar, _run_fleet], ids=["scalar", "fleet"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_run_duration(engine, value: float) -> None:
+    with pytest.raises(ModelParameterError, match="duration"):
+        engine(value)
 
 
 @pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
